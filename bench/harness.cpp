@@ -132,6 +132,20 @@ void record_events_per_shard(ulsocks::sim::ShardGroup& group) {
   g_events_per_shard = group.events_executed_per_shard();
 }
 
+/// CPU model name of this machine ("unknown" when /proc/cpuinfo has none).
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// Peak resident set size of this process, in kilobytes.
 std::int64_t peak_rss_kb() {
   struct rusage ru {};
@@ -624,6 +638,9 @@ std::string BenchResults::write(const std::string& dir) const {
       }
       json += "]";
     }
+    json += ", \"cpu_model\": \"" + obs::json_escape(cpu_model()) + "\"";
+    json += ", \"nproc\": " +
+            std::to_string(std::thread::hardware_concurrency());
     json += "},\n";
   }
   json += "  \"points\": [";
@@ -825,19 +842,16 @@ double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
 
 double measure_scale_web_hotspot_evps(const StackChoice& stack,
                                        std::size_t shards, unsigned threads,
-                                       bool rebalance,
                                        std::size_t hot_requests,
                                        std::size_t cold_requests) {
   ScaleWebOptions opt;
   opt.hosts = 16;
   opt.shards = shards;
   // Clients 0 and 4 (hosts 1 and 5) carry the hot load — under the
-  // (i + 1) % shards placement both land on one shard at 4 shards, which
-  // is exactly the skew live rebalancing exists to fix.
+  // (i + 1) % shards placement both land on one shard at 4 shards.
   opt.per_client_requests.assign(opt.hosts - 1, cold_requests);
   opt.per_client_requests[0] = hot_requests;
   opt.per_client_requests[4] = hot_requests;
-  opt.rebalance = rebalance;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   opt.threads = std::min({static_cast<unsigned>(threads), hw,
                           static_cast<unsigned>(shards)});
@@ -859,8 +873,7 @@ double measure_scale_web_hotspot_evps(const StackChoice& stack,
   g_total_events.fetch_add(events, std::memory_order_relaxed);
   g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
   g_last_metrics = merged_shard_metrics(scale.group());
-  // The migration oracle: identical across shard counts and rebalance
-  // on/off when migration is sound (check_hostperf.py gates on it).  The
+  // Identical across shard counts (check_hostperf.py gates on it).  The
   // int64 cast keeps the uint64 bit pattern, so equality is preserved.
   g_last_metrics["shard/causal_digest"] =
       static_cast<std::int64_t>(scale.group().causal_digest());

@@ -140,33 +140,22 @@ int main(int argc, char** argv) {
        }},
       // Skewed ("hotspot") web workload: hosts 1 and 5 carry ~80% of the
       // traffic, and at 4 shards the static (i + 1) % shards placement
-      // parks both on one shard.  Four points: 1 and 2 shards for the
-      // causal-digest parity gate, then 4 shards static vs greedy live
-      // rebalancing.  check_hostperf.py asserts the digests of all four
-      // match, that greedy cuts the per-shard executed-event imbalance at
-      // least 2x vs static, that it runs no more barrier epochs, and (on
-      // multi-core recordings) that it is >= 1.3x faster wall-clock.
+      // parks both on one shard.  check_hostperf.py asserts the causal
+      // digests of the 1-, 2- and 4-shard points match.
       {"scale_web_hotspot", &ds, "1shard",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 1, 1, false,
-                                               hot_requests, cold_requests);
+         return measure_scale_web_hotspot_evps(ds, 1, 1, hot_requests,
+                                               cold_requests);
        }},
       {"scale_web_hotspot", &ds, "2shards",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 2, 2, false,
-                                               hot_requests, cold_requests);
+         return measure_scale_web_hotspot_evps(ds, 2, 2, hot_requests,
+                                               cold_requests);
        }},
       {"scale_web_hotspot", &ds, "4shards_static",
        [&] {
          return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), 4,
-                                               false, hot_requests,
-                                               cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "4shards_greedy",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), 4,
-                                               true, hot_requests,
-                                               cold_requests);
+                                               hot_requests, cold_requests);
        }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
       // connections), two servers.  The gated quantity is requests served

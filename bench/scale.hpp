@@ -33,12 +33,6 @@ struct ScaleWebOptions {
   // requests_per_client.  The hotspot bench concentrates ~80% of traffic
   // on two hosts this way.
   std::vector<std::size_t> per_client_requests = {};
-  // Live rebalancing: install the greedy-by-event-rate policy (sampled
-  // every rebalance_interval_epochs barrier epochs).  Off = placement
-  // stays static, the A/B baseline the rebalance gates compare against.
-  bool rebalance = false;
-  std::uint64_t rebalance_interval_epochs = 64;
-  double rebalance_hysteresis = 1.5;
   // A/B switch: pin the group to the PR5-era scalar bound (global_min + W)
   // instead of the per-edge lookahead matrix.  Same topology, same traffic
   // — only the epoch schedule differs, so epoch counts are comparable.
@@ -61,13 +55,6 @@ class ScaleWeb {
         per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {
     if (opt.scalar_lookahead) {
       group_.set_lookahead_mode(sim::ShardGroup::LookaheadMode::kScalar);
-    }
-    if (opt.rebalance) {
-      sim::ShardGroup::GreedyRebalanceOptions gopt;
-      gopt.hysteresis = opt.rebalance_hysteresis;
-      group_.set_rebalance_policy(
-          sim::ShardGroup::greedy_rebalance_policy(gopt),
-          opt.rebalance_interval_epochs);
     }
   }
 
@@ -109,8 +96,6 @@ class ScaleWeb {
       co_await apps::web_client(proc, cluster_.stack(idx + 1, kind), co,
                                 per_client_[idx]);
     };
-    // spawn_on tags each workload with its host's domain — the handle live
-    // rebalancing migrates by.  A bare engine.spawn would pin it for good.
     cluster_.spawn_on(0, server());
     for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
       cluster_.spawn_on(i + 1, client(i));

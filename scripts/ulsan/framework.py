@@ -10,8 +10,8 @@ comment can silence both tools.  Every ulsan token must suppress at least
 one finding — an unused suppression is itself an error (it means the code
 was fixed, or the token is misspelled).  A bare ``// NOLINT`` with no
 rule list is rejected as a blanket suppression, and unknown ``ulsan-*``
-rule names are rejected as typos.  The pre-ulsan ``NOLINT(coro-capture)``
-convention is recognized only to tell you to migrate.
+rule names are rejected as typos, as is a ulsan rule name written
+without its ``ulsan-`` prefix (e.g. ``NOLINT(coro-capture)``).
 
 Baseline
 --------
@@ -37,8 +37,6 @@ from .source import SourceFile
 # both the runner and the self-tests can assert the policy.
 NO_BASELINE_RULES = ("layering", "wire-hygiene")
 
-# Legacy spelling from lint_coro_captures.py; accepted by the shim only.
-LEGACY_CORO_TOKEN = "coro-capture"
 # Umbrella alias: suppresses both absorbed coroutine-capture rules.
 CORO_ALIAS = "coro-capture"
 CORO_ALIAS_TARGETS = ("coro-schedule-capture", "coro-iife-capture")
@@ -164,8 +162,8 @@ class FileSuppressions:
         return None
 
 
-def scan_suppressions(sf: SourceFile, known_rules: Iterable[str],
-                      allow_legacy: bool = False) -> FileSuppressions:
+def scan_suppressions(sf: SourceFile,
+                      known_rules: Iterable[str]) -> FileSuppressions:
     known = set(known_rules)
     out = FileSuppressions(path=sf.display)
     for lineno, line in enumerate(sf.original.splitlines(), start=1):
@@ -184,21 +182,16 @@ def scan_suppressions(sf: SourceFile, known_rules: Iterable[str],
                 tok = raw.strip()
                 if not tok:
                     continue
-                if tok == LEGACY_CORO_TOKEN and not tok.startswith("ulsan-"):
-                    if allow_legacy:
-                        out.entries.append(Suppression(
-                            token=CORO_ALIAS, line=lineno, target=target))
-                    else:
+                if not tok.startswith("ulsan-"):
+                    if tok in known or tok == CORO_ALIAS:
                         out.malformed.append(Finding(
                             rule="suppression-syntax", path=sf.display,
                             line=lineno,
-                            message="legacy NOLINT(coro-capture) syntax; "
-                                    "migrate to NOLINT(ulsan-coro-capture) "
-                                    "or a specific ulsan-coro-* rule",
+                            message=f"unknown token '{tok}' in {kind}; "
+                                    f"ulsan rules need the prefix: "
+                                    f"ulsan-{tok}",
                             excerpt=sf.line_text(lineno)))
-                    continue
-                if not tok.startswith("ulsan-"):
-                    continue  # clang-tidy's namespace
+                    continue  # otherwise clang-tidy's namespace
                 name = tok[len("ulsan-"):]
                 if name == CORO_ALIAS:
                     out.entries.append(Suppression(
@@ -361,8 +354,7 @@ class RunResult:
 
 
 def run(paths: list[Path], rule_names: list[str] | None = None,
-        baseline: Baseline | None = None,
-        allow_legacy: bool = False) -> RunResult:
+        baseline: Baseline | None = None) -> RunResult:
     registry = all_rules()
     if rule_names is None:
         active = list(registry.values())
@@ -381,8 +373,7 @@ def run(paths: list[Path], rule_names: list[str] | None = None,
         sf = ctx.load(path)
         # Report with the path as given on the command line, not resolved.
         sf = SourceFile(path=path, original=sf.original, text=sf.text)
-        sup = scan_suppressions(sf, registry.keys(),
-                                allow_legacy=allow_legacy)
+        sup = scan_suppressions(sf, registry.keys())
         result.errors.extend(sup.malformed)
         for r in active:
             for f in r.check(sf, ctx):

@@ -27,17 +27,6 @@ Three shapes are flagged:
    handle.  This check applies *inside* the sanctioned files too — the
    rehoming path must stay clean (value captures of the destination sink
    and the already-cloned frame only).
-
-4. The live-migration entry points — ``request_domain_migration(``,
-   ``extract_domain(``, ``adopt_domain(`` and ``rehome(`` — outside the
-   sanctioned rebalance path (the shard runtime, ``sim::Engine``'s domain
-   machinery, ``net::Link``'s endpoint rehoming and ``apps::Cluster``'s
-   DomainMigrator).  Migration is barrier-phase surgery on two engines'
-   heaps: a call from anywhere else (an application, a bench, a protocol
-   layer) would move events mid-window and unsound the epoch induction.
-   Policies belong behind ``ShardGroup::set_rebalance_policy``, which runs
-   them on the barrier thread — they never need these primitives outside
-   the group's own call.
 """
 
 from __future__ import annotations
@@ -50,16 +39,9 @@ from ..source import (SourceFile, capture_items, has_ref_capture,
 
 ALLOWED_SUFFIXES = ("src/net/link.cpp", "src/sim/shard.hpp",
                     "src/sim/shard.cpp")
-# Live migration additionally touches the engine's domain machinery, the
-# link endpoint rehoming helper, and the cluster's DomainMigrator — the
-# full sanctioned rebalance path.
-MIGRATION_ALLOWED_SUFFIXES = ALLOWED_SUFFIXES + (
-    "src/sim/engine.hpp", "src/net/link.hpp", "src/apps/cluster.hpp")
 POST_REMOTE = re.compile(r"\bpost_remote\s*\(")
 CLONE = re.compile(r"\bclone_for_shard_transfer\s*\(")
 REGISTER = re.compile(r"\bregister_edge_lookahead\s*\(")
-MIGRATION = re.compile(
-    r"\b(request_domain_migration|extract_domain|adopt_domain|rehome)\s*\(")
 HANDLE_NAME = re.compile(r"(?:^|_)(?:pool|eng|engine)s?_?$|pool_?$",
                          re.IGNORECASE)
 
@@ -113,16 +95,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 "lookaheads are derived from a link's own wire costs when "
                 "a cross-shard edge forms; a hand-written entry that "
                 "overstates a latency silently unsounds every epoch bound"))
-
-    if not any(sf.display.endswith(s) for s in MIGRATION_ALLOWED_SUFFIXES):
-        for m in MIGRATION.finditer(text):
-            findings.append(_finding(
-                sf, m.start(),
-                f"{m.group(1)}() outside the sanctioned rebalance path — "
-                "live migration is barrier-phase surgery on two engines' "
-                "heaps; install a policy via "
-                "ShardGroup::set_rebalance_policy instead of calling the "
-                "migration primitives directly"))
 
     # Capture hygiene on every post_remote callback, sanctioned or not.
     for call in POST_REMOTE.finditer(text):

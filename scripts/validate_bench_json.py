@@ -15,7 +15,9 @@ Checks the ulsocks.bench.v1 schema without third-party dependencies:
                   # thread count the sharded runs actually used after
                   # clamping to the hardware.
                   "shards": int, "epoch_ns": int,
-                  "resolved_threads": int},
+                  "resolved_threads": int,
+                  # optional machine fingerprint (older files lack it):
+                  "cpu_model": str, "nproc": int},
     "points": [{"series": str, "stack": str, "config": str, "x": str,
                 "value": number, "unit": str,
                 "metrics": {str: int, ...}}, ...]
@@ -48,6 +50,11 @@ HOST_PERF_FIELDS = {
     "epoch_ns": int,
     "resolved_threads": int,
 }
+# Machine fingerprint: checked when present, absent from older recordings.
+HOST_PERF_OPTIONAL_FIELDS = {
+    "cpu_model": str,
+    "nproc": int,
+}
 
 
 def validate(path):
@@ -78,6 +85,11 @@ def validate(path):
                 v = host_perf.get(field)
                 if not isinstance(v, ftype) or isinstance(v, bool):
                     err(f"host_perf.{field} missing or wrong type")
+            for field, ftype in HOST_PERF_OPTIONAL_FIELDS.items():
+                v = host_perf.get(field)
+                if v is not None and (not isinstance(v, ftype)
+                                      or isinstance(v, bool)):
+                    err(f"host_perf.{field} has the wrong type")
 
     points = doc.get("points")
     if not isinstance(points, list):
@@ -111,15 +123,10 @@ def validate(path):
             if "host/bytes_copied" not in metrics:
                 err(f"{where}.metrics missing required 'host/bytes_copied'")
             # Sharded runs (anything that recorded an epoch count) must
-            # also carry the rebalance telemetry: applied-migration count
-            # and final per-shard load skew.  A sharded point without them
-            # would silently escape the rebalance gates in
-            # check_hostperf.py.
-            if "shard/epochs" in metrics:
-                for required in ("shard/migrations", "shard/imbalance"):
-                    if required not in metrics:
-                        err(f"{where}.metrics missing required "
-                            f"'{required}' on sharded point")
+            # also carry the per-shard load skew.
+            if "shard/epochs" in metrics and "shard/imbalance" not in metrics:
+                err(f"{where}.metrics missing required "
+                    "'shard/imbalance' on sharded point")
             # Ring scenarios (x starting with "ring") must carry the
             # OpRing instruments — a ring point without them ran the
             # blocking server by mistake and the ring-vs-blocking gate

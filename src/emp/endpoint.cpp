@@ -46,7 +46,7 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
                          NodeId self,
                          std::function<net::MacAddress(NodeId)> resolve,
                          EmpConfig config)
-    : eng_(&eng),
+    : eng_(eng),
       model_(model),
       nic_(nic),
       host_cpu_(host_cpu),
@@ -54,7 +54,7 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
       resolve_(std::move(resolve)),
       config_(config),
       ctr_(obs::Scope(eng.metrics(), host_label(self) + "/emp")),
-      bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
+      bytes_copied_(eng.metrics().counter("host/bytes_copied")),
       tracer_(eng.tracer()),
       trk_lib_(tracer_.track(host_label(self), "emp")),
       trk_fw_(tracer_.track(host_label(self), "emp-fw")),
@@ -62,26 +62,6 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
                  [this] { check_invariants(); }) {
   nic_.set_rx_handler(net::EtherType::kEmp,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
-}
-
-void EmpEndpoint::rebind(sim::Engine& eng) {
-  eng_ = &eng;
-  bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-  // Parked coroutines move with their domain; the events that wake them
-  // must schedule the resume on the engine that now steps them.
-  for (const RecvHandle& r : walk_) {
-    if (r) r->done_evt.rebind(eng);
-  }
-  // Visit order is irrelevant below: each handle is retargeted
-  // independently and nothing is scheduled or allocated.
-  for (auto& [key, b] : bound_) {  // NOLINT(ulsan-determinism)
-    if (b.recv) b.recv->done_evt.rebind(eng);
-  }
-  for (auto& [id, st] : pending_sends_) {  // NOLINT(ulsan-determinism)
-    st->local_evt.rebind(eng);
-    st->acked_evt.rebind(eng);
-  }
-  inv_check_.move_to(eng.checks());
 }
 
 EmpStats EmpEndpoint::stats() const noexcept {
@@ -210,7 +190,7 @@ sim::Task<SendHandle> EmpEndpoint::post_send_sg(
 sim::Task<SendHandle> EmpEndpoint::post_send_impl(
     NodeId dst, Tag tag, std::span<const std::uint8_t> head,
     std::span<const std::uint8_t> body, const void* pin_base) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   const std::uint32_t total_bytes =
       static_cast<std::uint32_t>(head.size() + body.size());
   sim::Duration cost = model_.host.desc_build_ns + pin_cost(pin_base) +
@@ -232,10 +212,10 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
     payload.insert(payload.end(), head.begin(), head.end());
     payload.insert(payload.end(), body.begin(), body.end());
   }
-  *bytes_copied_ += total_bytes;
+  bytes_copied_ += total_bytes;
   co_await host_cpu_.use(cost);
 
-  auto st = std::make_shared<SendState>(*eng_);
+  auto st = std::make_shared<SendState>(eng_);
   st->dst = dst;
   st->tag = tag;
   st->msg_id = next_msg_id_++;
@@ -253,7 +233,7 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
   nic_.fw_tx(model_.nic.fw_tx_post_ns,
              [this, st] { transmit_frames(st, 0); });
   if (tracer_.enabled()) {
-    tracer_.complete(trk_lib_, t0, eng_->now() - t0, "post_send",
+    tracer_.complete(trk_lib_, t0, eng_.now() - t0, "post_send",
                      "\"dst\":" + std::to_string(dst) +
                          ",\"bytes\":" + std::to_string(total_bytes));
   }
@@ -264,19 +244,19 @@ sim::Task<RecvHandle> EmpEndpoint::post_recv(std::optional<NodeId> src,
                                              Tag tag,
                                              std::span<std::uint8_t> buffer,
                                              bool want_slices) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   sim::Duration cost = model_.host.desc_build_ns + pin_cost(buffer.data()) +
                        model_.nic.mailbox_post_ns;
   co_await host_cpu_.use(cost);
 
-  auto r = std::make_shared<RecvState>(*eng_);
+  auto r = std::make_shared<RecvState>(eng_);
   r->src_match = src;
   r->tag = tag;
   r->buffer = buffer.data();
   r->capacity = static_cast<std::uint32_t>(buffer.size());
   r->want_slices = want_slices && net::SlicePool::slicing_enabled();
   ++ctr_.recvs_posted;
-  ULS_TRACE(*eng_, "emp", "node%u post_recv src=%d tag=%u h=%p", self_,
+  ULS_TRACE(eng_, "emp", "node%u post_recv src=%d tag=%u h=%p", self_,
             src ? (int)*src : -1, tag, (void*)r.get());
 
   // File the descriptor with the NIC; it joins the tag-matching walk list
@@ -295,7 +275,7 @@ sim::Task<RecvHandle> EmpEndpoint::post_recv(std::optional<NodeId> src,
     reconcile_unexpected();
   });
   if (tracer_.enabled()) {
-    tracer_.complete(trk_lib_, t0, eng_->now() - t0, "post_recv",
+    tracer_.complete(trk_lib_, t0, eng_.now() - t0, "post_recv",
                      "\"tag\":" + std::to_string(tag) +
                          ",\"capacity\":" + std::to_string(buffer.size()));
   }
@@ -354,12 +334,12 @@ sim::Task<std::optional<RecvResult>> EmpEndpoint::try_claim_unexpected(
     bool src_ok = !src.has_value() || *src == u->from;
     if (!src_ok || tag != u->tag || u->msg_bytes > buffer.size()) continue;
     std::uint32_t bytes = u->msg_bytes;
-    ULS_TRACE(*eng_, "emp", "node%u uq-claim from=%u tag=%u", self_, u->from,
+    ULS_TRACE(eng_, "emp", "node%u uq-claim from=%u tag=%u", self_, u->from,
               u->tag);
     RecvResult result{u->from, u->tag, bytes};
     if (bytes > 0) {
       std::memcpy(buffer.data(), u->buffer.data(), bytes);
-      *bytes_copied_ += bytes;
+      bytes_copied_ += bytes;
     }
     std::erase(unexpected_ready_, u);
     bound_.erase(key_of(u->from, u->msg_id));
@@ -423,7 +403,7 @@ net::FramePtr EmpEndpoint::make_data_frame(const SendHandle& st,
     encode_frame_into(
         h, std::span<const std::uint8_t>(st->data).subspan(offset, len),
         f->payload);
-    *bytes_copied_ += len;
+    bytes_copied_ += len;
   }
   return f;
 }
@@ -436,7 +416,7 @@ void EmpEndpoint::transmit_frames(const SendHandle& st,
     if (retransmit) {
       ++ctr_.retransmitted_frames;
       if (tracer_.enabled()) {
-        tracer_.instant(trk_fw_, eng_->now(), "retransmit");
+        tracer_.instant(trk_fw_, eng_.now(), "retransmit");
       }
     }
     const std::uint32_t bytes = st->size_bytes();
@@ -474,7 +454,7 @@ void EmpEndpoint::transmit_frames(const SendHandle& st,
 }
 
 void EmpEndpoint::arm_retransmit_timer(const SendHandle& st) {
-  eng_->schedule_after(config_.retransmit_timeout, [this, st] {
+  eng_.schedule_after(config_.retransmit_timeout, [this, st] {
     if (st->acked_done || st->failed) return;
     if (++st->retries > config_.max_retries) {
       fail_send(st);
@@ -639,16 +619,16 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
       if (too_small_candidate) {
         ++ctr_.too_small_drops;
         if (tracer_.enabled()) {
-          tracer_.instant(trk_fw_, eng_->now(), "drop_too_small");
+          tracer_.instant(trk_fw_, eng_.now(), "drop_too_small");
         }
       } else {
         // No descriptor: drop.  The sender's timeout retransmits, exactly
         // the behaviour the substrate's flow control exists to avoid.
-        ULS_TRACE(*eng_, "emp", "node%u drop src=%u tag=%u msg=%u", self_,
+        ULS_TRACE(eng_, "emp", "node%u drop src=%u tag=%u msg=%u", self_,
                   h.src_node, h.tag, h.msg_id);
         ++ctr_.unmatched_drops;
         if (tracer_.enabled()) {
-          tracer_.instant(trk_fw_, eng_->now(), "drop_unmatched");
+          tracer_.instant(trk_fw_, eng_.now(), "drop_unmatched");
         }
       }
       return;
@@ -660,7 +640,7 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
   ctr_.tag_walk_len.observe(walked);
   if (tracer_.enabled()) {
     tracer_.complete(
-        trk_fw_, eng_->now(),
+        trk_fw_, eng_.now(),
         static_cast<sim::Duration>(walked) * model_.nic.tag_match_per_desc_ns,
         "tag_match");
   }
@@ -752,7 +732,7 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
   if (!took_slice && frag_len > 0) {
     std::uint32_t offset = h.frame_index * fragment_size();
     frame->copy_payload(kHeaderBytes, {dest_base + offset, frag_len});
-    *bytes_copied_ += frag_len;
+    bytes_copied_ += frag_len;
   }
   nic_.dma_transfer(frag_len + kHeaderBytes,
                     [this, binding] { fragment_landed(binding); });
@@ -821,7 +801,7 @@ void EmpEndpoint::complete_recv(const RecvHandle& r) {
 }
 
 void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
-  ULS_TRACE(*eng_, "emp", "node%u uq-ready from=%u tag=%u bytes=%u", self_,
+  ULS_TRACE(eng_, "emp", "node%u uq-ready from=%u tag=%u bytes=%u", self_,
             u->from, u->tag, u->msg_bytes);
   u->ready = true;
   unexpected_ready_.push_back(u);
@@ -855,7 +835,7 @@ void EmpEndpoint::reconcile_unexpected() {
 }
 
 void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
-  ULS_TRACE(*eng_, "emp", "node%u uq-deliver from=%u tag=%u", self_, u->from,
+  ULS_TRACE(eng_, "emp", "node%u uq-deliver from=%u tag=%u", self_, u->from,
             u->tag);
   // The descriptor is consumed by the library, never matched at the NIC.
   r->bound = true;
@@ -872,7 +852,7 @@ void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
   std::uint32_t bytes = u->msg_bytes;
   if (bytes > 0) {
     std::memcpy(r->buffer, u->buffer.data(), bytes);
-    *bytes_copied_ += bytes;
+    bytes_copied_ += bytes;
   }
   RecvHandle handle = r;
   host_cpu_.run(model_.memcpy_cost(bytes), [this, handle] {

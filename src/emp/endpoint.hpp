@@ -216,14 +216,6 @@ class EmpEndpoint {
   EmpEndpoint& operator=(const EmpEndpoint&) = delete;
 
   [[nodiscard]] NodeId node_id() const noexcept { return self_; }
-
-  /// Live shard migration: retarget the endpoint at its host's new engine.
-  /// Rebinds every parked completion event (posted receives, in-flight
-  /// sends), moves the invariant checker, and points the engine-wide
-  /// bytes_copied tally at the new engine's registry (per-engine counters
-  /// are summed across shards in reports, so totals are preserved).  The
-  /// NIC and host CPU are rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng);
   [[nodiscard]] const EmpConfig& config() const noexcept { return config_; }
   /// Materialize the typed stats view from the registry counters.
   [[nodiscard]] EmpStats stats() const noexcept;
@@ -449,7 +441,7 @@ class EmpEndpoint {
     if (completion_hook_) completion_hook_();
   }
 
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   nic::NicDevice& nic_;
   sim::SerialResource& host_cpu_;
@@ -457,7 +449,7 @@ class EmpEndpoint {
   std::function<net::MacAddress(NodeId)> resolve_;
   EmpConfig config_;
   Instruments ctr_;
-  obs::Counter* bytes_copied_;  // engine-wide "host/bytes_copied"
+  obs::Counter& bytes_copied_;  // engine-wide "host/bytes_copied"
   obs::Tracer& tracer_;
   std::uint32_t trk_lib_;  // ("h<N>", "emp") host-library timeline track
   std::uint32_t trk_fw_;   // ("h<N>", "emp-fw") NIC-firmware timeline track

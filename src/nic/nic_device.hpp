@@ -32,7 +32,7 @@ class NicDevice final : public net::FrameSink {
  public:
   NicDevice(sim::Engine& eng, const sim::CostModel& model, net::Link& link,
             net::Link::Side side, net::MacAddress mac, bool dual_cpu = true)
-      : eng_(&eng),
+      : eng_(eng),
         model_(model),
         link_(link),
         side_(side),
@@ -51,12 +51,12 @@ class NicDevice final : public net::FrameSink {
                                 "nic")) {
     pool_.bind_hwm_gauge(scope_.gauge("frame_pool_hwm"));
     slice_pool_.bind_hwm_gauge(scope_.gauge("slice_pool_hwm"));
-    link_.attach(side_, this, eng);
+    link_.attach(side_, this, eng_);
   }
 
   [[nodiscard]] net::MacAddress mac() const noexcept { return mac_; }
   [[nodiscard]] const sim::CostModel& model() const noexcept { return model_; }
-  [[nodiscard]] sim::Engine& engine() noexcept { return *eng_; }
+  [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
 
   /// Firmware processors.  In single-CPU mode both paths share one core.
   [[nodiscard]] sim::SerialResource& tx_cpu() noexcept { return tx_cpu_; }
@@ -85,7 +85,7 @@ class NicDevice final : public net::FrameSink {
   /// One DMA transfer of `bytes` across the host bus (setup + per byte).
   void dma_transfer(std::uint64_t bytes, sim::EventFn done) {
     if (tracer_.enabled()) {
-      tracer_.complete(trk_, eng_->now(), model_.dma_cost(bytes), "dma",
+      tracer_.complete(trk_, eng_.now(), model_.dma_cost(bytes), "dma",
                        "\"bytes\":" + std::to_string(bytes));
     }
     dma_.run(model_.dma_cost(bytes), std::move(done));
@@ -135,19 +135,6 @@ class NicDevice final : public net::FrameSink {
   }
   [[nodiscard]] sim::SerialResource& dma() noexcept { return dma_; }
 
-  /// Live shard migration: move the firmware processors and DMA engine to
-  /// the new engine.  The link endpoint is rehomed separately by the
-  /// topology owner (apps::Cluster), which also re-registers lookahead.
-  /// Metrics/tracer scopes stay on the birth engine's registries: distinct
-  /// per-host names, written only by whichever thread owns the domain and
-  /// read only at quiesce.  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    tx_cpu_.rebind(eng);
-    rx_cpu_.rebind(eng);
-    dma_.rebind(eng);
-  }
-
  private:
   void drain_tx() {
     if (tx_queue_.empty()) {
@@ -158,12 +145,12 @@ class NicDevice final : public net::FrameSink {
     net::FramePtr frame = std::move(tx_queue_.front());
     tx_queue_.pop_front();
     sim::Duration ser = link_.serialization_time(*frame);
-    if (tracer_.enabled()) tracer_.complete(trk_, eng_->now(), ser, "mac_tx");
+    if (tracer_.enabled()) tracer_.complete(trk_, eng_.now(), ser, "mac_tx");
     link_.transmit(side_, std::move(frame));
-    eng_->schedule_after(ser, [this] { drain_tx(); });
+    eng_.schedule_after(ser, [this] { drain_tx(); });
   }
 
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   net::Link& link_;
   net::Link::Side side_;

@@ -38,11 +38,7 @@ class RamDiskFs {
  public:
   RamDiskFs(sim::Engine& eng, const sim::CostModel& model,
             sim::SerialResource& cpu)
-      : eng_(&eng), model_(model), cpu_(cpu) {}
-
-  /// Live shard migration: retarget the engine reference (the CPU resource
-  /// is rebound by its owner, os::Host).  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept { eng_ = &eng; }
+      : eng_(eng), model_(model), cpu_(cpu) {}
 
   /// Instantly create a file (test/bench fixture setup; charges no time).
   void install(const std::string& path, std::vector<std::uint8_t> data) {
@@ -114,7 +110,7 @@ class RamDiskFs {
   }
 
  private:
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   sim::SerialResource& cpu_;
   std::map<std::string, std::vector<std::uint8_t>> files_;

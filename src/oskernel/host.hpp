@@ -17,7 +17,7 @@ namespace ulsocks::os {
 class Host {
  public:
   Host(sim::Engine& eng, const sim::CostModel& model, std::uint16_t id)
-      : eng_(&eng),
+      : eng_(eng),
         model_(model),
         id_(id),
         cpu_(eng, "host" + std::to_string(id) + "-cpu"),
@@ -27,18 +27,10 @@ class Host {
   Host& operator=(const Host&) = delete;
 
   [[nodiscard]] std::uint16_t id() const noexcept { return id_; }
-  [[nodiscard]] sim::Engine& engine() noexcept { return *eng_; }
+  [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
   [[nodiscard]] const sim::CostModel& model() const noexcept { return model_; }
   [[nodiscard]] sim::SerialResource& cpu() noexcept { return cpu_; }
   [[nodiscard]] RamDiskFs& fs() noexcept { return fs_; }
-
-  /// Live shard migration: point the host (CPU, filesystem) at its new
-  /// engine.  Barrier-only; apps::Cluster's DomainMigrator is the caller.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    cpu_.rebind(eng);
-    fs_.rebind(eng);
-  }
 
   /// Charge one system-call round trip.
   [[nodiscard]] sim::Task<void> syscall() {
@@ -53,7 +45,7 @@ class Host {
     const sim::Duration quantum = model_.host.sched_granularity_ns / 4;
     while (d > quantum) {
       co_await cpu_.use(quantum);
-      co_await eng_->yield();  // let queued kernel jobs run
+      co_await eng_.yield();  // let queued kernel jobs run
       d -= quantum;
     }
     co_await cpu_.use(d);
@@ -65,7 +57,7 @@ class Host {
   }
 
  private:
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   std::uint16_t id_;
   sim::SerialResource cpu_;

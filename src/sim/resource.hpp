@@ -17,23 +17,18 @@ namespace ulsocks::sim {
 class SerialResource {
  public:
   SerialResource(Engine& eng, std::string name)
-      : eng_(&eng), name_(std::move(name)) {}
+      : eng_(eng), name_(std::move(name)) {}
   SerialResource(const SerialResource&) = delete;
   SerialResource& operator=(const SerialResource&) = delete;
-
-  /// Schedule future completions on another engine (live shard migration).
-  /// Only legal between epochs, with no job completion event in flight on
-  /// the old engine that the migration protocol has not already moved.
-  void rebind(Engine& eng) noexcept { eng_ = &eng; }
 
   /// Enqueue a job costing `cost`; `done` (optional) runs at completion.
   /// Returns the completion time.
   Time run(Duration cost, EventFn done = {}) {
-    Time start = busy_until_ > eng_->now() ? busy_until_ : eng_->now();
+    Time start = busy_until_ > eng_.now() ? busy_until_ : eng_.now();
     busy_until_ = start + cost;
     busy_total_ += cost;
     ++jobs_;
-    if (done) eng_->schedule_at(busy_until_, std::move(done));
+    if (done) eng_.schedule_at(busy_until_, std::move(done));
     return busy_until_;
   }
 
@@ -41,11 +36,11 @@ class SerialResource {
   /// at completion.
   [[nodiscard]] Task<void> use(Duration cost) {
     Time end = run(cost);
-    co_await eng_->delay(end - eng_->now());
+    co_await eng_.delay(end - eng_.now());
   }
 
   [[nodiscard]] Time busy_until() const noexcept { return busy_until_; }
-  [[nodiscard]] bool idle() const noexcept { return busy_until_ <= eng_->now(); }
+  [[nodiscard]] bool idle() const noexcept { return busy_until_ <= eng_.now(); }
   [[nodiscard]] Duration busy_total() const noexcept { return busy_total_; }
   [[nodiscard]] std::uint64_t jobs() const noexcept { return jobs_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -59,7 +54,7 @@ class SerialResource {
   }
 
  private:
-  Engine* eng_;
+  Engine& eng_;
   std::string name_;
   Time busy_until_ = 0;
   Duration busy_total_ = 0;

@@ -53,7 +53,7 @@ EmpSocketStack::Instruments::Instruments(obs::Scope scope)
 EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
                                os::Host& host, emp::EmpEndpoint& ep,
                                SubstrateConfig default_config)
-    : eng_(&eng),
+    : eng_(eng),
       model_(model),
       host_(host),
       ep_(ep),
@@ -61,8 +61,8 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
       activity_(eng),
       ctr_(obs::Scope(eng.metrics(),
                       "h" + std::to_string(ep.node_id()) + "/sockets")),
-      bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
-      recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
+      bytes_copied_(eng.metrics().counter("host/bytes_copied")),
+      recv_scratch_hwm_(eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
       trk_(eng.tracer().track("h" + std::to_string(ep.node_id()), "sockets")),
       inv_check_(eng.checks(), "sockets.substrate",
@@ -328,7 +328,7 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
 }
 
 sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   auto s = sock(sd);
   if (s->state != Sock::State::kFresh && s->state != Sock::State::kBound) {
     throw SocketError(SockErr::kInvalid, "connect on active socket");
@@ -367,7 +367,7 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
   auto h = co_await ep_.post_send(remote.node, listen_tag(remote.port),
                                   stage_ctrl(encode_conn_request(req)));
   ++ctr_.connections_initiated;
-  eng_->spawn(pump(s));
+  eng_.spawn(pump(s));
 
   // connect() completes on the EMP-level acknowledgment of the request:
   // the ack proves a pre-posted backlog descriptor absorbed it.  A full
@@ -389,7 +389,7 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
   s->established = true;
   s->state = Sock::State::kConnected;
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "connect",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "connect",
                      "\"sd\":" + std::to_string(sd));
   }
   activity_.notify_all();
@@ -430,10 +430,10 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
   int child_sd = next_sd_++;
   child->sd = child_sd;
   socks_[child_sd] = child;
-  eng_->spawn(pump(child));
+  eng_.spawn(pump(child));
   ++ctr_.connections_accepted;
   if (peer != nullptr) *peer = child->remote;
-  if (tracer_.enabled()) tracer_.instant(trk_, eng_->now(), "accept");
+  if (tracer_.enabled()) tracer_.instant(trk_, eng_.now(), "accept");
   co_return child_sd;
 }
 
@@ -767,10 +767,10 @@ sim::Task<void> EmpSocketStack::repost_slot(const SockPtr& s, Slot& slot) {
 
 sim::Task<std::size_t> EmpSocketStack::read(int sd,
                                             std::span<std::uint8_t> out) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   std::size_t n = co_await read_impl(sd, out, nullptr);
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "read",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "read",
                      "\"sd\":" + std::to_string(sd) +
                          ",\"bytes\":" + std::to_string(n));
   }
@@ -779,7 +779,7 @@ sim::Task<std::size_t> EmpSocketStack::read(int sd,
 
 sim::Task<std::size_t> EmpSocketStack::read_view(int sd, os::RecvView& view,
                                                  std::size_t max_bytes) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   view.reset();
   // The scratch span doubles as the destination for every path that cannot
   // lend its buffers (legacy mode, datagrams, rendezvous); the sliced
@@ -791,7 +791,7 @@ sim::Task<std::size_t> EmpSocketStack::read_view(int sd, os::RecvView& view,
     view.parts.emplace_back(view.scratch.data(), n);
   }
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "read_view",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "read_view",
                      "\"sd\":" + std::to_string(sd) +
                          ",\"bytes\":" + std::to_string(n));
   }
@@ -837,7 +837,7 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
           append_view_parts(*view, *rh, kDataHeaderBytes + slot.offset, n);
         } else {
           rh->copy_out(kDataHeaderBytes + slot.offset, out.first(n));
-          *bytes_copied_ += n;
+          bytes_copied_ += n;
         }
         slot.offset += static_cast<std::uint32_t>(n);
       }
@@ -873,10 +873,10 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
 
 sim::Task<std::size_t> EmpSocketStack::write(
     int sd, std::span<const std::uint8_t> in) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   std::size_t n = co_await write_impl(sd, in);
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "write",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "write",
                      "\"sd\":" + std::to_string(sd) +
                          ",\"bytes\":" + std::to_string(n));
   }
@@ -911,7 +911,7 @@ sim::Task<std::size_t> EmpSocketStack::write_impl(
 }
 
 sim::Task<void> EmpSocketStack::acquire_credit(const SockPtr& s) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   while (s->send_credits == 0) {
     if (s->peer_closed) {
       throw SocketError(SockErr::kClosed, "peer closed while awaiting credit");
@@ -924,7 +924,7 @@ sim::Task<void> EmpSocketStack::acquire_credit(const SockPtr& s) {
   --s->send_credits;
   // Time write() spent blocked on the §6.1 credit window; ~0 when the
   // reader keeps up.
-  ctr_.credit_stall_ns.observe(eng_->now() - t0);
+  ctr_.credit_stall_ns.observe(eng_.now() - t0);
 }
 
 sim::Task<std::size_t> EmpSocketStack::eager_write(
@@ -966,7 +966,7 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
   }
   encode_data_header(h, msg.data());
   std::memcpy(msg.data() + kDataHeaderBytes, in.data(), n);
-  *bytes_copied_ += n;
+  bytes_copied_ += n;
   // Building the message in the (pre-registered) send staging area is a
   // user-space copy.
   co_await host_.copy(n);
@@ -1037,7 +1037,7 @@ sim::Task<std::size_t> EmpSocketStack::dg_read(const SockPtr& s,
       std::size_t n = std::min<std::size_t>(out.size(), claimed->bytes);
       co_await host_.copy(n);
       std::memcpy(out.data(), s->dg_staging.data(), n);
-      *bytes_copied_ += n;
+      bytes_copied_ += n;
       if (n < claimed->bytes) ++ctr_.truncated_datagrams;
       ++s->consumed_unacked;
       ++s->data_msgs_consumed;
@@ -1086,7 +1086,7 @@ sim::Task<std::size_t> EmpSocketStack::dg_read(const SockPtr& s,
     if (!direct) {
       co_await host_.copy(n);
       std::memcpy(out.data(), s->dg_staging.data(), n);
-      *bytes_copied_ += n;
+      bytes_copied_ += n;
     }
     if (n < result.bytes) ++ctr_.truncated_datagrams;
     ++s->consumed_unacked;
@@ -1125,7 +1125,7 @@ sim::Task<std::size_t> EmpSocketStack::rendezvous_read(
   std::size_t n = std::min<std::size_t>(out.size(), result.bytes);
   co_await host_.copy(n);
   std::memcpy(out.data(), tmp.data(), n);
-  *bytes_copied_ += n;
+  bytes_copied_ += n;
   release_arena(std::move(tmp));
   ++ctr_.truncated_datagrams;
   ++s->data_msgs_consumed;

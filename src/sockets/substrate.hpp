@@ -57,18 +57,6 @@ class EmpSocketStack final : public os::SocketApi {
                  os::Host& host, emp::EmpEndpoint& ep,
                  SubstrateConfig default_config = {});
 
-  /// Live shard migration: retarget wakeups and spawns at the new engine,
-  /// move the invariant checker, and point the engine-wide copy tallies at
-  /// the new engine's registry (summed across shards in reports).  The
-  /// host and EMP endpoint are rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng) {
-    eng_ = &eng;
-    activity_.rebind(eng);
-    bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-    recv_scratch_hwm_ = &eng.metrics().gauge("host/recv_scratch_hwm");
-    inv_check_.move_to(eng.checks());
-  }
-
   // SocketApi.
   sim::Task<int> socket() override;
   sim::Task<void> bind(int sd, os::SockAddr local) override;
@@ -248,15 +236,15 @@ class EmpSocketStack final : public os::SocketApi {
     explicit Instruments(obs::Scope scope);
   };
 
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   os::Host& host_;
   emp::EmpEndpoint& ep_;
   SubstrateConfig default_cfg_;
   sim::CondVar activity_;
   Instruments ctr_;
-  obs::Counter* bytes_copied_;  // engine-wide "host/bytes_copied"
-  obs::Gauge* recv_scratch_hwm_;  // engine-wide "host/recv_scratch_hwm"
+  obs::Counter& bytes_copied_;  // engine-wide "host/bytes_copied"
+  obs::Gauge& recv_scratch_hwm_;  // engine-wide "host/recv_scratch_hwm"
   obs::Tracer& tracer_;
   std::uint32_t trk_;  // ("h<N>", "sockets") timeline track
 
@@ -289,8 +277,8 @@ class EmpSocketStack final : public os::SocketApi {
   // SocketApi hook: fold scratch sizes into the engine-global
   // "host/recv_scratch_hwm" high-water gauge.
   void note_recv_scratch(std::size_t bytes) override {
-    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_->value()) {
-      recv_scratch_hwm_->set(static_cast<std::int64_t>(bytes));
+    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_.value()) {
+      recv_scratch_hwm_.set(static_cast<std::int64_t>(bytes));
     }
   }
 

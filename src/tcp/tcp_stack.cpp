@@ -27,7 +27,7 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
                    os::Host& host, nic::NicDevice& nic,
                    std::function<net::MacAddress(std::uint16_t)> resolve,
                    TcpTunables tunables)
-    : eng_(&eng),
+    : eng_(eng),
       model_(model),
       host_(host),
       nic_(nic),
@@ -37,8 +37,8 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
       activity_(eng),
       ctr_(obs::Scope(eng.metrics(),
                       "h" + std::to_string(host.id()) + "/tcp")),
-      bytes_copied_(&eng.metrics().counter("host/bytes_copied")),
-      recv_scratch_hwm_(&eng.metrics().gauge("host/recv_scratch_hwm")),
+      bytes_copied_(eng.metrics().counter("host/bytes_copied")),
+      recv_scratch_hwm_(eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
       trk_(eng.tracer().track("h" + std::to_string(host.id()), "tcp")),
       next_ephemeral_(tunables.ephemeral_base) {
@@ -148,7 +148,7 @@ sim::Task<void> TcpStack::connect(int sd, SockAddr remote) {
 }
 
 sim::Task<std::size_t> TcpStack::read(int sd, std::span<std::uint8_t> out) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   co_await host_.syscall();
   auto c = conn(sd);
   while (c->rcv_buf.empty() && !c->peer_fin && !c->reset) {
@@ -160,11 +160,11 @@ sim::Task<std::size_t> TcpStack::read(int sd, std::span<std::uint8_t> out) {
   // Kernel-to-user copy: the cost the paper's substrate eliminates.
   co_await host_.copy(n);
   std::copy_n(c->rcv_buf.data(), n, out.begin());
-  *bytes_copied_ += n;
+  bytes_copied_ += n;
   c->rcv_buf.pop_front(n);
   maybe_send_window_update(c);
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "read",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "read",
                      "\"sd\":" + std::to_string(sd) +
                          ",\"bytes\":" + std::to_string(n));
   }
@@ -173,7 +173,7 @@ sim::Task<std::size_t> TcpStack::read(int sd, std::span<std::uint8_t> out) {
 
 sim::Task<std::size_t> TcpStack::write(int sd,
                                        std::span<const std::uint8_t> in) {
-  const sim::Time t0 = eng_->now();
+  const sim::Time t0 = eng_.now();
   co_await host_.syscall();
   auto c = conn(sd);
   if (in.empty()) co_return 0;
@@ -192,10 +192,10 @@ sim::Task<std::size_t> TcpStack::write(int sd,
   // User-to-kernel copy.
   co_await host_.copy(n);
   c->snd_buf.append(in.first(n));
-  *bytes_copied_ += n;
+  bytes_copied_ += n;
   try_output(c);
   if (tracer_.enabled()) {
-    tracer_.complete(trk_, t0, eng_->now() - t0, "write",
+    tracer_.complete(trk_, t0, eng_.now() - t0, "write",
                      "\"sd\":" + std::to_string(sd) +
                          ",\"bytes\":" + std::to_string(n));
   }
@@ -344,7 +344,7 @@ void TcpStack::emit(const ConnPtr& c, Flags flags, std::uint64_t seq,
     frame->slices.push_back(net::PayloadSlice::adopt(std::move(seg.payload)));
   } else {
     encode_segment_into(seg, frame->payload);
-    *bytes_copied_ += seg.payload.size();
+    bytes_copied_ += seg.payload.size();
   }
   host_.cpu().run(
       model_.tcp.tx_segment_ns + model_.tcp.driver_tx_ns,
@@ -410,7 +410,7 @@ void TcpStack::try_output(const ConnPtr& c) {
     if (len < kMss && !c->nodelay && inflight > 0 && !c->fin_queued) break;
     const std::uint8_t* base = c->snd_buf.data() + inflight;
     std::vector<std::uint8_t> payload(base, base + len);
-    *bytes_copied_ += len;
+    bytes_copied_ += len;
     emit(c, Flags{.ack = true}, c->snd_nxt, std::move(payload));
     c->snd_nxt += len;
     arm_rto(c);
@@ -448,7 +448,7 @@ void TcpStack::maybe_send_window_update(const ConnPtr& c) {
 void TcpStack::arm_rto(const ConnPtr& c) {
   if (c->rto_armed) return;
   c->rto_armed = true;
-  eng_->schedule_after(tun_.rto, [this, c] {
+  eng_.schedule_after(tun_.rto, [this, c] {
     c->rto_armed = false;
     rto_fire(c);
   });
@@ -485,7 +485,7 @@ void TcpStack::rto_fire(const ConnPtr& c) {
       if (len > 0) {
         std::vector<std::uint8_t> payload(c->snd_buf.data(),
                                           c->snd_buf.data() + len);
-        *bytes_copied_ += len;
+        bytes_copied_ += len;
         emit(c, Flags{.ack = true}, c->snd_una, std::move(payload),
              /*retransmit=*/true);
       }
@@ -503,7 +503,7 @@ void TcpStack::rto_fire(const ConnPtr& c) {
 void TcpStack::arm_delack(const ConnPtr& c) {
   if (c->delack_armed) return;
   c->delack_armed = true;
-  eng_->schedule_after(tun_.delayed_ack, [this, c] {
+  eng_.schedule_after(tun_.delayed_ack, [this, c] {
     c->delack_armed = false;
     if (c->pending_ack_segments > 0 && !c->reset &&
         c->state != State::kDone) {
@@ -535,7 +535,7 @@ void TcpStack::maybe_schedule_gc(const ConnPtr& c) {
               (c->fin_acked && c->peer_fin);
   if (!done) return;
   c->gc_scheduled = true;
-  eng_->schedule_after(tun_.gc_linger, [this, c] {
+  eng_.schedule_after(tun_.gc_linger, [this, c] {
     by_tuple_.erase(conn_key(c->local.port, c->remote.node, c->remote.port));
     conns_by_sd_.erase(c->sd);
   });
@@ -550,7 +550,7 @@ void TcpStack::on_frame(net::FramePtr frame) {
   // path (the DMA into the kernel ring exists in both A/B modes).
   auto seg = decode_segment_frame(*frame);
   if (!seg) return;
-  *bytes_copied_ += seg->payload.size();
+  bytes_copied_ += seg->payload.size();
   // Stock firmware receive handling, DMA into the kernel ring, then the
   // interrupt-coalescing window.  The segment moves through the event
   // chain; the wire frame returns to its pool as soon as it is decoded.
@@ -569,12 +569,12 @@ void TcpStack::schedule_interrupt() {
   if (irq_scheduled_ && !fire_now) return;
   sim::Duration delay = fire_now ? 0 : model_.tcp.rx_coalesce_ns;
   irq_scheduled_ = true;
-  eng_->schedule_after(delay, [this] {
+  eng_.schedule_after(delay, [this] {
     if (!irq_scheduled_) return;
     irq_scheduled_ = false;
     if (pending_rx_.empty()) return;
     ++ctr_.interrupts;
-    if (tracer_.enabled()) tracer_.instant(trk_, eng_->now(), "interrupt");
+    if (tracer_.enabled()) tracer_.instant(trk_, eng_.now(), "interrupt");
     host_.cpu().run(model_.tcp.interrupt_ns, [this] {
       // Softirq: process everything coalesced into this interrupt.
       std::deque<Segment> batch;
@@ -728,7 +728,7 @@ void TcpStack::established_input(const ConnPtr& c, Segment& seg) {
       std::size_t skip = static_cast<std::size_t>(c->rcv_nxt - seq);
       c->rcv_buf.append(
           std::span<const std::uint8_t>(seg.payload).subspan(skip));
-      *bytes_copied_ += seg.payload.size() - skip;
+      bytes_copied_ += seg.payload.size() - skip;
       c->rcv_nxt = end;
       advanced = true;
       // Drain any now-contiguous out-of-order segments.
@@ -740,7 +740,7 @@ void TcpStack::established_input(const ConnPtr& c, Segment& seg) {
           std::size_t oskip = static_cast<std::size_t>(c->rcv_nxt - oseq);
           c->rcv_buf.append(
               std::span<const std::uint8_t>(data).subspan(oskip));
-          *bytes_copied_ += data.size() - oskip;
+          bytes_copied_ += data.size() - oskip;
           c->rcv_nxt = oseq + data.size();
         }
         c->ooo_bytes -= data.size();

@@ -90,17 +90,6 @@ class TcpStack final : public os::SocketApi {
   }
   [[nodiscard]] std::uint16_t node() const noexcept { return node_; }
 
-  /// Live shard migration: retarget timers and wakeups at the new engine
-  /// and move the engine-wide copy tallies to its registry (summed across
-  /// shards in reports, so totals survive the move).  Host and NIC are
-  /// rebound by their owners.  Barrier-only.
-  void rebind(sim::Engine& eng) noexcept {
-    eng_ = &eng;
-    activity_.rebind(eng);
-    bytes_copied_ = &eng.metrics().counter("host/bytes_copied");
-    recv_scratch_hwm_ = &eng.metrics().gauge("host/recv_scratch_hwm");
-  }
-
  private:
   enum class State : std::uint8_t {
     kClosed,
@@ -194,7 +183,6 @@ class TcpStack final : public os::SocketApi {
   void maybe_schedule_gc(const ConnPtr& c);
   void notify() { activity_.notify_all(); }
 
-
   /// Registry-backed counter handles under "h<N>/tcp/".
   struct Instruments {
     obs::Counter& segments_tx;
@@ -208,7 +196,7 @@ class TcpStack final : public os::SocketApi {
     explicit Instruments(obs::Scope scope);
   };
 
-  sim::Engine* eng_;
+  sim::Engine& eng_;
   sim::CostModel model_;
   os::Host& host_;
   nic::NicDevice& nic_;
@@ -217,13 +205,13 @@ class TcpStack final : public os::SocketApi {
   std::uint16_t node_;
   sim::CondVar activity_;
   Instruments ctr_;
-  obs::Counter* bytes_copied_;  // global host/bytes_copied tally
-  obs::Gauge* recv_scratch_hwm_;  // global "host/recv_scratch_hwm" HWM
+  obs::Counter& bytes_copied_;  // global host/bytes_copied tally
+  obs::Gauge& recv_scratch_hwm_;  // global "host/recv_scratch_hwm" HWM
 
   // SocketApi hook: the default read_view() reports its scratch size here.
   void note_recv_scratch(std::size_t bytes) override {
-    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_->value()) {
-      recv_scratch_hwm_->set(static_cast<std::int64_t>(bytes));
+    if (static_cast<std::int64_t>(bytes) > recv_scratch_hwm_.value()) {
+      recv_scratch_hwm_.set(static_cast<std::int64_t>(bytes));
     }
   }
   obs::Tracer& tracer_;

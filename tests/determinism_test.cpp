@@ -13,13 +13,16 @@
 #include <vector>
 
 #include "apps/cluster.hpp"
+#include "apps/httpd.hpp"
 #include "check/invariant.hpp"
 #include "net/frame.hpp"
 #include "net/link.hpp"
 #include "net/payload_slice.hpp"
 #include "net/topology.hpp"
+#include "oskernel/process.hpp"
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
+#include "sim/stats.hpp"
 #include "sockets/config.hpp"
 
 namespace ulsocks {
@@ -221,7 +224,7 @@ TEST(Determinism, SlicingDoesNotChangeEventOrderOnAnyPreset) {
 TEST(Determinism, SlicingDoesNotChangeEventOrderWithReadView) {
   SlicingGuard guard;
   EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
+  opt.cfg = sockets::preset("ds_da_uq").cfg;
   opt.use_view = true;
   net::SlicePool::set_slicing_enabled(false);
   RunSignature legacy = run_echo_workload(42, opt);
@@ -237,7 +240,7 @@ TEST(Determinism, SlicingDoesNotChangeEventOrderWithReadView) {
 TEST(Determinism, SlicingDoesNotChangeEventOrderUnderLossyStress) {
   SlicingGuard guard;
   EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
+  opt.cfg = sockets::preset("ds_da_uq").cfg;
   opt.cfg.credits = 2;
   opt.cfg.buffer_bytes = 2048;
   opt.loss = 0.01;
@@ -272,7 +275,7 @@ TEST(HostCopies, SlicingCutsBytesCopiedAtLeast3x) {
   std::uint64_t legacy_bytes = 0;
   std::uint64_t sliced_bytes = 0;
   EchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
+  opt.cfg = sockets::preset("ds_da_uq").cfg;
   opt.use_view = true;
   net::SlicePool::set_slicing_enabled(false);
   opt.bytes_copied = &legacy_bytes;
@@ -550,49 +553,6 @@ ShardSignature run_sharded_echo(std::size_t shards, unsigned threads,
           group.now(), echoed};
 }
 
-/// run_sharded_echo plus a deterministic round-robin migration schedule:
-/// every `every_n_epochs` barrier epochs the policy bounces one of the two
-/// host domains onto the next non-fabric shard, cycling forever.  Roots go
-/// through Cluster::spawn_on so the whole workload carries its host's
-/// domain tag and migrates with it; the schedule is a pure function of the
-/// epoch count, never wall clock.
-ShardSignature run_migrating_echo(
-    std::size_t shards, unsigned threads, std::uint64_t every_n_epochs,
-    const ShardEchoOptions& opt = {},
-    std::vector<sim::ShardGroup::MigrationRecord>* log = nullptr,
-    GroupStats* stats = nullptr) {
-  const sim::CostModel model = sim::calibrated_cost_model();
-  sim::ShardGroup group(shards, echo_lookahead(model, opt), opt.seed);
-  if (opt.scalar_lookahead) {
-    group.set_lookahead_mode(sim::ShardGroup::LookaheadMode::kScalar);
-  }
-  Cluster cl(group, model, 2, opt.cfg, {}, true, opt.per_host_propagation);
-  shard_echo_losses(cl, opt);
-  auto tick = std::make_shared<std::uint64_t>(0);
-  group.set_rebalance_policy(
-      [tick](sim::ShardGroup& g) {
-        const std::uint64_t t = (*tick)++;
-        const auto d = static_cast<sim::DomainId>(1 + t % 2);
-        if (!g.domain_migratable(d)) return;
-        g.request_domain_migration(
-            d, static_cast<std::uint32_t>(1 + t % (g.size() - 1)));
-      },
-      every_n_epochs);
-  std::uint64_t echoed = 0;
-  cl.spawn_on(1, shard_echo_server(shard_echo_api(cl, 1, opt.use_tcp)));
-  cl.spawn_on(0, shard_echo_client(shard_echo_api(cl, 0, opt.use_tcp),
-                                   opt.seed ^ 0xabcdefull, opt.rounds,
-                                   &echoed));
-  group.run(threads);
-  if (log != nullptr) *log = group.migration_log();
-  if (stats != nullptr) {
-    stats->epochs = group.epochs();
-    stats->barrier_skips = group.barrier_skips();
-  }
-  return {group.digest(), group.causal_digest(), group.events_executed(),
-          group.now(), echoed};
-}
-
 // A one-shard group must be indistinguishable from not sharding at all:
 // same engine seed, same event stream, same seq-folded digest — on every
 // named paper preset.
@@ -645,7 +605,7 @@ TEST(Sharding, ParallelIsByteIdenticalToSerialStepping) {
 // serial stepping byte-for-byte.
 TEST(Sharding, LossyStressOutcomeInvariantAcrossShardCounts) {
   ShardEchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
+  opt.cfg = sockets::preset("ds_da_uq").cfg;
   opt.cfg.credits = 2;
   opt.cfg.buffer_bytes = 2048;
   opt.loss = 0.01;
@@ -656,97 +616,6 @@ TEST(Sharding, LossyStressOutcomeInvariantAcrossShardCounts) {
   EXPECT_EQ(four, one) << "lossy stress diverged at 4 shards";
   EXPECT_EQ(run_sharded_echo(4, 4, opt), run_sharded_echo(4, 1, opt))
       << "lossy stress: parallel diverged from serial stepping";
-}
-
-// Live migration must be invisible to the simulation.  Bouncing the two
-// host domains across shards on three very different cadences — every
-// barrier, every 8th, every 64th — leaves the causal digest, event count,
-// end time and echoed bytes of every paper preset exactly as the
-// never-migrating partition produced them.  (The seq-folded digest is
-// excluded on purpose: event numbering is per-engine, so it legitimately
-// differs when a domain changes engines.)
-TEST(Sharding, MigrationScheduleInvariantOnEveryPreset) {
-  for (const sockets::Preset& p : sockets::presets()) {
-    ShardEchoOptions opt;
-    opt.cfg = p.cfg;
-    const CausalSignature still = causal_part(run_sharded_echo(4, 1, opt));
-    for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{8},
-                            std::uint64_t{64}}) {
-      std::vector<sim::ShardGroup::MigrationRecord> log;
-      const CausalSignature moved =
-          causal_part(run_migrating_echo(4, 1, k, opt, &log));
-      EXPECT_EQ(moved, still)
-          << "preset " << p.name << " diverged migrating every " << k
-          << " epochs";
-      EXPECT_GT(log.size(), 0u)
-          << "preset " << p.name << " K=" << k << ": nothing ever migrated";
-    }
-  }
-}
-
-// The same invariance under loss, tiny credits and tiny staging buffers:
-// retransmits, credit stalls and unexpected-queue traffic must all survive
-// having their host yanked onto another engine mid-flow.
-TEST(Sharding, MigrationLossyStressInvariant) {
-  ShardEchoOptions opt;
-  opt.cfg = sockets::preset_ds_da_uq();
-  opt.cfg.credits = 2;
-  opt.cfg.buffer_bytes = 2048;
-  opt.loss = 0.01;
-  const CausalSignature still = causal_part(run_sharded_echo(4, 1, opt));
-  for (std::uint64_t k : {std::uint64_t{1}, std::uint64_t{8},
-                          std::uint64_t{64}}) {
-    EXPECT_EQ(causal_part(run_migrating_echo(4, 1, k, opt)), still)
-        << "lossy stress diverged migrating every " << k << " epochs";
-  }
-}
-
-// With rebalancing active, a thread pool must still be byte-identical to
-// serial stepping: same digests, same epoch count, and the exact same
-// migration schedule (the log pins which domain moved where at which
-// barrier).
-TEST(Sharding, MigrationParallelMatchesSerialByteForByte) {
-  std::vector<sim::ShardGroup::MigrationRecord> serial_log, parallel_log;
-  GroupStats serial_stats, parallel_stats;
-  const ShardSignature serial =
-      run_migrating_echo(4, 1, 8, {}, &serial_log, &serial_stats);
-  const ShardSignature parallel =
-      run_migrating_echo(4, 4, 8, {}, &parallel_log, &parallel_stats);
-  EXPECT_EQ(parallel, serial)
-      << "parallel digest " << parallel.group_digest << " vs serial "
-      << serial.group_digest;
-  EXPECT_EQ(parallel_stats.epochs, serial_stats.epochs);
-  EXPECT_GT(serial_log.size(), 0u) << "schedule never migrated";
-  EXPECT_EQ(parallel_log, serial_log)
-      << "thread pool changed the migration schedule";
-}
-
-// A migration proposed mid-epoch (from inside an executing event) must not
-// take effect until the barrier: the placement map keeps answering with
-// the old shard and the version stays put for the rest of the window.
-TEST(Sharding, MidEpochMigrationRequestDefersToBarrier) {
-  const sim::CostModel model = sim::calibrated_cost_model();
-  sim::ShardGroup group(4, net::shard_lookahead(model.wire));
-  Cluster cl(group, model, 2);
-  ASSERT_EQ(group.shard_of_domain(1), 1u);  // host 0 starts on shard 1
-  const std::uint64_t v0 = group.placement_version();
-  std::uint32_t seen_mid_epoch = ~0u;
-  std::uint64_t version_mid_epoch = 0;
-  group.shard(1).schedule_after(1000, [&] {
-    group.request_domain_migration(1, 3);
-    seen_mid_epoch = group.shard_of_domain(1);
-    version_mid_epoch = group.placement_version();
-  });
-  std::uint64_t echoed = 0;
-  cl.spawn_on(1, shard_echo_server(cl.node(1).socks));
-  cl.spawn_on(0, shard_echo_client(cl.node(0).socks, 7, 4, &echoed));
-  group.run(1);
-  EXPECT_EQ(seen_mid_epoch, 1u) << "migration applied inside the window";
-  EXPECT_EQ(version_mid_epoch, v0);
-  EXPECT_EQ(group.shard_of_domain(1), 3u) << "migration never applied";
-  EXPECT_GT(group.placement_version(), v0);
-  EXPECT_EQ(group.migrations_applied(), 1u);
-  EXPECT_GT(echoed, 0u);
 }
 
 // Kernel TCP's loss recovery (retransmit timers are the long-dated far-heap
@@ -761,6 +630,70 @@ TEST(Sharding, TcpOverLossOutcomeInvariantAcrossShardCounts) {
   CausalSignature four = causal_part(run_sharded_echo(4, 1, opt));
   EXPECT_EQ(two, one) << "tcp-over-loss diverged at 2 shards";
   EXPECT_EQ(four, one) << "tcp-over-loss diverged at 4 shards";
+}
+
+// Blocking HTTP/1.1 web workload on a sharded cluster: node 0 serves,
+// every other node runs one client making kWebRequests requests over
+// kWebRequests / kWebPerConnection connections.
+constexpr std::size_t kWebHosts = 5;
+constexpr std::size_t kWebRequests = 8;
+constexpr std::uint32_t kWebPerConnection = 4;
+
+Task<void> sharded_web_server(Cluster& cl) {
+  os::Process proc(cl.node(0).host);
+  apps::WebServerOptions so;
+  so.requests_per_connection = kWebPerConnection;
+  so.max_connections = (kWebHosts - 1) * (kWebRequests / kWebPerConnection);
+  co_await apps::web_server(proc, cl.node(0).socks, so);
+}
+
+Task<void> sharded_web_client(Cluster& cl, std::size_t node,
+                              sim::OnlineStats& response_us) {
+  co_await cl.node_engine(node).delay(5'000 * node);
+  os::Process proc(cl.node(node).host);
+  apps::WebClientOptions co;
+  co.response_bytes = 4096;
+  co.requests_per_connection = kWebPerConnection;
+  co.total_requests = kWebRequests;
+  co_await apps::web_client(proc, cl.node(node).socks, co, response_us);
+}
+
+struct WebShardOutcome {
+  std::uint64_t causal_digest;
+  std::uint64_t events;
+  std::size_t responses;
+  friend bool operator==(const WebShardOutcome&, const WebShardOutcome&) =
+      default;
+};
+
+WebShardOutcome run_sharded_web(std::size_t shards, unsigned threads) {
+  const sim::CostModel model = sim::calibrated_cost_model();
+  sim::ShardGroup group(shards, net::shard_lookahead(model.wire));
+  Cluster cl(group, model, kWebHosts);
+  std::vector<sim::OnlineStats> response_us(kWebHosts - 1);
+  cl.spawn_on(0, sharded_web_server(cl));
+  for (std::size_t n = 1; n < kWebHosts; ++n) {
+    cl.spawn_on(n, sharded_web_client(cl, n, response_us[n - 1]));
+  }
+  group.run(threads);
+  std::size_t responses = 0;
+  for (const sim::OnlineStats& s : response_us) responses += s.count();
+  return {group.causal_digest(), group.events_executed(), responses};
+}
+
+// The blocking web server — accept loop, one spawned handler per
+// connection, condvar wakeups across the shard boundary — must serve every
+// request and leave the causal digest untouched at every shard count,
+// stepped serially or on a thread pool.
+TEST(Sharding, WebServerOutcomeInvariantAcrossShardCounts) {
+  const WebShardOutcome reference = run_sharded_web(1, 1);
+  EXPECT_EQ(reference.responses, (kWebHosts - 1) * kWebRequests);
+  for (std::size_t shards : {1ul, 2ul, 4ul}) {
+    for (unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(run_sharded_web(shards, threads), reference)
+          << shards << " shards, " << threads << " threads";
+    }
+  }
 }
 
 // Cross-shard frames arriving within one epoch window must drain in strict

@@ -15,13 +15,3 @@ void bad_edge(ShardGroup& group) {
   // write the rule exists to catch.
   group.register_edge_lookahead(0, 1, 1'000'000);
 }
-
-struct Engine;
-
-void bad_migration(ShardGroup& group, Engine& dst) {
-  // An application hand-rolling a migration mid-run: every one of these
-  // belongs to the barrier-phase rebalance path, nowhere else.
-  group.request_domain_migration(3, 1);
-  auto dom = group.extract_domain(3);
-  (void)dst;
-}

@@ -92,7 +92,7 @@ class DatagramBoundaries : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DatagramBoundaries, EachReadReturnsExactlyOneMessage) {
   Engine eng(GetParam());
-  Cluster cl(eng, sim::calibrated_cost_model(), 2, sockets::preset_dg());
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, sockets::preset("dg").cfg);
   sim::Rng rng(GetParam() * 131 + 7);
 
   constexpr int kMessages = 40;

@@ -7,8 +7,9 @@ tests/fixtures/ulsan/<rule>/: a *firing* snippet the rule must flag, a
 snippet showing the compliant shape, and an *unused* snippet whose
 suppression covers nothing (itself an error).  On top of that, the
 framework mechanics — baseline absorption, staleness, the no-baseline
-policy for layering/wire-hygiene, the legacy coro-capture alias, blanket
-NOLINTs — and the CLI surface are tested directly.
+policy for layering/wire-hygiene, the coro-capture alias and its
+unprefixed spelling, blanket NOLINTs — and the CLI surface are tested
+directly.
 
 Run from the repo root:  python3 tests/ulsan_test.py
 Registered with ctest as ``ulsan.selftest``.
@@ -127,11 +128,11 @@ class FixtureCorpusTest(unittest.TestCase):
 
 
 class SuppressionSyntaxTest(unittest.TestCase):
-    def _run_snippet(self, code, rule_names=None, allow_legacy=False):
+    def _run_snippet(self, code, rule_names=None):
         with tempfile.TemporaryDirectory() as td:
             p = Path(td) / "snippet.cpp"
             p.write_text(code)
-            return run([p], rule_names=rule_names, allow_legacy=allow_legacy)
+            return run([p], rule_names=rule_names)
 
     def test_blanket_nolint_rejected(self):
         res = self._run_snippet("int x = 0;  // NOLINT\n")
@@ -171,17 +172,9 @@ class SuppressionSyntaxTest(unittest.TestCase):
         res = self._run_snippet(self.LEGACY,
                                 rule_names=["coro-schedule-capture"])
         self.assertTrue(any(f.rule == "suppression-syntax"
-                            and "migrate" in f.message
+                            and "unknown token 'coro-capture'" in f.message
                             for f in res.errors))
         self.assertEqual(len(res.new), 1)  # the finding is NOT suppressed
-
-    def test_legacy_coro_token_accepted_by_shim_mode(self):
-        res = self._run_snippet(self.LEGACY,
-                                rule_names=["coro-schedule-capture"],
-                                allow_legacy=True)
-        self.assertEqual(res.new, [])
-        self.assertEqual(len(res.suppressed), 1)
-        self.assertEqual(res.errors, [])
 
     def test_umbrella_alias_covers_both_coro_rules(self):
         code = ("template <typename T> struct Task {};\n"
@@ -313,15 +306,6 @@ class CliTest(unittest.TestCase):
     def test_unknown_rule_is_usage_error(self):
         proc = self._ulsan("src", "--rules", "no-such-rule")
         self.assertEqual(proc.returncode, 2)
-
-    def test_deprecated_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "lint_coro_captures.py"),
-             "src"],
-            cwd=REPO, capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0,
-                         f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}")
-        self.assertIn("deprecated", proc.stderr.lower())
 
 
 if __name__ == "__main__":
