@@ -11,7 +11,11 @@
 #      that passes scripts/validate_bench_json.py.
 #   5. ThreadSanitizer build running the sharded determinism tests with
 #      4 shards on 4 worker threads (the parallel engine's race surface).
-#   6. Host-perf gate: a Release build runs bench/hostperf and
+#   6. Benchmark simulated outputs: perfbench/run.py runs every workload
+#      once, traced, at seed 7 and fails on any mismatch against
+#      perfbench/reference.json (digests, event and probe counts,
+#      simulated metrics).  A correctness check, not a timing gate.
+#   7. Host-perf gate: a Release build runs bench/hostperf and
 #      scripts/check_hostperf.py fails the gate if events/sec dropped
 #      more than 25% below bench/baselines/BENCH_hostperf.json.
 #
@@ -20,7 +24,7 @@
 #   --require-tools  a missing optional tool (clang-tidy) is a hard
 #                    failure instead of a skip-with-warning.  Defaults ON
 #                    when $CI is set, so CI never silently loses a stage.
-#   --no-hostperf    skip stage 6 (host-perf is meaningless on shared or
+#   --no-hostperf    skip stage 7 (host-perf is meaningless on shared or
 #                    throttled runners; CI uses this).
 set -euo pipefail
 
@@ -39,7 +43,7 @@ for arg in "$@"; do
   esac
 done
 JOBS="$(nproc 2>/dev/null || echo 4)"
-TOTAL=6
+TOTAL=7
 
 echo "==> [1/$TOTAL] Debug + ASan/UBSan build and test"
 cmake -B "$BUILD_DIR" -S . \
@@ -91,8 +95,15 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target determinism_test
 TSAN_OPTIONS=halt_on_error=1 \
   "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
 
+echo "==> [6/$TOTAL] benchmark simulated outputs vs perfbench/reference.json"
+# run.py exits 1 on any reference mismatch; --seconds 1 keeps it short.
+for workload in stream_64k c10k_ring web16_sharded; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
+    --trace 1 >/dev/null
+done
+
 if [ -n "$RUN_HOSTPERF" ]; then
-  echo "==> [6/$TOTAL] host-perf gate (Release build, full hostperf bench)"
+  echo "==> [7/$TOTAL] host-perf gate (Release build, full hostperf bench)"
   # Sanitizer builds measure the sanitizer, not the simulator: the host-perf
   # numbers only mean something at -O2/-O3 without instrumentation.
   PERF_DIR="$BUILD_DIR-release"
@@ -104,7 +115,7 @@ if [ -n "$RUN_HOSTPERF" ]; then
   python3 scripts/validate_bench_json.py "$HOSTPERF_DIR/BENCH_hostperf.json"
   python3 scripts/check_hostperf.py "$HOSTPERF_DIR/BENCH_hostperf.json"
 else
-  echo "==> [6/$TOTAL] host-perf gate skipped (--no-hostperf)"
+  echo "==> [7/$TOTAL] host-perf gate skipped (--no-hostperf)"
 fi
 
 echo "==> all checks passed"

@@ -58,8 +58,13 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
       tracer_(eng.tracer()),
       trk_lib_(tracer_.track(host_label(self), "emp")),
       trk_fw_(tracer_.track(host_label(self), "emp-fw")),
-      inv_check_(eng.checks(), "emp.endpoint",
-                 [this] { check_invariants(); }) {
+      inv_check_(
+          eng.checks(), "emp.endpoint",
+          [this] {
+            check_invariants();
+            forget_dirty();
+          },
+          [this] { check_dirty(); }) {
   nic_.set_rx_handler(net::EtherType::kEmp,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
@@ -90,46 +95,89 @@ EmpStats EmpEndpoint::stats() const noexcept {
 }
 
 void EmpEndpoint::check_invariants() const {
+  check_all_sends();
+  check_all_bindings();
+  check_bounds();
+}
+
+void EmpEndpoint::check_dirty() {
+  if (dirty_sends_.size() >= pending_sends_.size()) {
+    check_all_sends();
+  } else {
+    for (std::uint32_t id : dirty_sends_.keys()) {
+      if (auto it = pending_sends_.find(id); it != pending_sends_.end()) {
+        check_send(id, *it->second);
+      }
+    }
+  }
+  if (dirty_bindings_.size() >= bound_.size()) {
+    check_all_bindings();
+  } else {
+    for (std::uint64_t key : dirty_bindings_.keys()) {
+      if (auto it = bound_.find(key); it != bound_.end()) {
+        check_binding(key, it->second);
+      }
+    }
+  }
+  check_bounds();
+  forget_dirty();
+}
+
+// Order-insensitive sweeps: each asserts per-entry bounds, mutates
+// nothing, schedules nothing — hash order cannot leak into simulated
+// state.
+void EmpEndpoint::check_all_sends() const {
+  for (const auto& [id, st] : pending_sends_) {  // NOLINT(ulsan-determinism)
+    check_send(id, *st);
+  }
+}
+
+void EmpEndpoint::check_all_bindings() const {
+  for (const auto& [key, b] : bound_) {  // NOLINT(ulsan-determinism)
+    check_binding(key, b);
+  }
+}
+
+void EmpEndpoint::check_send(std::uint32_t id, const SendState& st) const {
   // Reliability: a send still pending has neither finished nor failed, its
   // cumulative-ACK progress never exceeds the frames that exist, and the
   // give-up counter is within its configured bound.
-  // Order-insensitive sweep: asserts per-entry bounds, mutates nothing,
-  // schedules nothing — hash order cannot leak into simulated state.
-  for (const auto& [id, st] : pending_sends_) {  // NOLINT(ulsan-determinism)
-    ULSOCKS_INVARIANT(
-        !st->acked_done && !st->failed,
-        check::msgf("node%u msg=%u finished send still pending", self_, id));
-    ULSOCKS_INVARIANT(
-        st->acked_frames <= st->total_frames,
-        check::msgf("node%u msg=%u acked %u of %u frames", self_, id,
-                    st->acked_frames, st->total_frames));
-    ULSOCKS_INVARIANT(
-        st->retries <= config_.max_retries,
-        check::msgf("node%u msg=%u retries=%u > max=%u", self_, id,
-                    st->retries, config_.max_retries));
-  }
+  ULSOCKS_INVARIANT(
+      !st.acked_done && !st.failed,
+      check::msgf("node%u msg=%u finished send still pending", self_, id));
+  ULSOCKS_INVARIANT(
+      st.acked_frames <= st.total_frames,
+      check::msgf("node%u msg=%u acked %u of %u frames", self_, id,
+                  st.acked_frames, st.total_frames));
+  ULSOCKS_INVARIANT(
+      st.retries <= config_.max_retries,
+      check::msgf("node%u msg=%u retries=%u > max=%u", self_, id, st.retries,
+                  config_.max_retries));
+}
+
+void EmpEndpoint::check_binding(std::uint64_t key, const Binding& b) const {
   // Receive bindings: every in-flight message is homed in exactly one
   // descriptor or unexpected entry, with per-frame accounting in bounds.
-  // Order-insensitive sweep, as above: pure per-binding invariant checks.
-  for (const auto& [key, b] : bound_) {  // NOLINT(ulsan-determinism)
-    ULSOCKS_INVARIANT(
-        (b.recv != nullptr) != (b.unexpected != nullptr),
-        check::msgf("node%u binding %llx must have exactly one home", self_,
-                    static_cast<unsigned long long>(key)));
-    if (b.recv) {
-      ULSOCKS_INVARIANT(
-          b.recv->bound,
-          check::msgf("node%u bound map points at unbound descriptor",
-                      self_));
-      ULSOCKS_INVARIANT(
-          b.recv->frames_received <= b.recv->total_frames &&
-              b.recv->frames_landed <= b.recv->total_frames,
-          check::msgf("node%u msg from=%u frame accounting out of bounds: "
-                      "received=%u landed=%u total=%u",
-                      self_, b.recv->from, b.recv->frames_received,
-                      b.recv->frames_landed, b.recv->total_frames));
-    }
-  }
+  ULSOCKS_INVARIANT(
+      (b.recv != nullptr) != (b.unexpected != nullptr),
+      check::msgf("node%u binding %llx must have exactly one home", self_,
+                  static_cast<unsigned long long>(key)));
+  if (!b.recv) return;
+  ULSOCKS_INVARIANT(
+      b.recv->bound,
+      check::msgf("node%u bound map points at unbound descriptor", self_));
+  ULSOCKS_INVARIANT(
+      b.recv->frames_received <= b.recv->total_frames &&
+          b.recv->frames_landed <= b.recv->total_frames,
+      check::msgf("node%u msg from=%u frame accounting out of bounds: "
+                  "received=%u landed=%u total=%u",
+                  self_, b.recv->from, b.recv->frames_received,
+                  b.recv->frames_landed, b.recv->total_frames));
+}
+
+void EmpEndpoint::check_bounds() const {
+  // The ready list is bounded by the unexpected pool; it is verified on
+  // every sweep.
   for (const auto* u : unexpected_ready_) {
     ULSOCKS_INVARIANT(
         u->bound && u->ready,
@@ -228,6 +276,7 @@ sim::Task<SendHandle> EmpEndpoint::post_send_impl(
       check::msgf("message of %u bytes exceeds the 16-bit frame count",
                   total_bytes));
   pending_sends_[st->msg_id] = st;
+  touch_send(st->msg_id);
   ++ctr_.sends_posted;
 
   nic_.fw_tx(model_.nic.fw_tx_post_ns,
@@ -456,6 +505,7 @@ void EmpEndpoint::transmit_frames(const SendHandle& st,
 void EmpEndpoint::arm_retransmit_timer(const SendHandle& st) {
   eng_.schedule_after(config_.retransmit_timeout, [this, st] {
     if (st->acked_done || st->failed) return;
+    touch_send(st->msg_id);
     if (++st->retries > config_.max_retries) {
       fail_send(st);
       return;
@@ -634,6 +684,7 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
       return;
     }
     bound_[key] = binding;
+    touch_binding(key);
   }
 
   ctr_.descriptors_walked += walked;
@@ -693,6 +744,7 @@ void EmpEndpoint::deliver_fragment(Binding binding, const EmpHeader& h,
   }
   (*got)[h.frame_index] = true;
   ++*received;
+  touch_binding(key_of(h.src_node, h.msg_id));
 
   // Acks are cumulative: they carry the length of the contiguous prefix of
   // received frames, so the sender can resend exactly from the first hole.
@@ -742,6 +794,7 @@ void EmpEndpoint::fragment_landed(const Binding& binding) {
   if (binding.recv) {
     const RecvHandle& r = binding.recv;
     ++r->frames_landed;
+    touch_binding(key_of(r->from, r->msg_id));
     if (r->frames_landed == r->total_frames &&
         r->frames_received == r->total_frames) {
       nic_.rx_cpu().run(model_.nic.completion_write_ns,
@@ -750,6 +803,7 @@ void EmpEndpoint::fragment_landed(const Binding& binding) {
   } else {
     UnexpectedEntry* u = binding.unexpected;
     ++u->frames_landed;
+    touch_binding(key_of(u->from, u->msg_id));
     if (u->frames_landed == u->total_frames &&
         u->frames_received == u->total_frames) {
       // The completion record is written by the firmware like any other
@@ -792,6 +846,7 @@ void EmpEndpoint::walk_remove(const RecvHandle& r) {
 
 void EmpEndpoint::complete_recv(const RecvHandle& r) {
   r->completed = true;
+  ++recv_completions_;
   r->result = RecvResult{r->from, r->tag, r->msg_bytes};
   bound_.erase(key_of(r->from, r->msg_id));
   remember_completed(r->from, r->msg_id, r->total_frames);
@@ -812,24 +867,34 @@ void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
 }
 
 void EmpEndpoint::reconcile_unexpected() {
-  // Deliver ready unexpected messages into matching filed descriptors.
-  // The walk list is scanned in post order so delivery respects the same
-  // FIFO the NIC's tag matching gives directly-matched messages.
-  bool delivered = true;
-  while (delivered && !unexpected_ready_.empty()) {
-    delivered = false;
-    for (auto* u : unexpected_ready_) {
-      for (auto& r : walk_) {
-        if (!r) continue;  // tombstone
-        if (r->bound || r->completed || r->unposted) continue;
-        bool src_ok = !r->src_match.has_value() || *r->src_match == u->from;
-        if (src_ok && r->tag == u->tag && u->msg_bytes <= r->capacity) {
-          deliver_unexpected(r, u);
-          delivered = true;
-          break;
-        }
+  // Deliver ready unexpected messages, oldest first, each into the first
+  // matching filed descriptor in post order: the same FIFO the NIC's tag
+  // matching gives directly-matched messages.  One pass over the ready
+  // list is enough.  A message that finds no descriptor cannot find one
+  // later in the pass, because deliveries only remove candidates.
+  if (unexpected_ready_.empty()) return;
+  // Candidate descriptors, in post order, for each tag that has a ready
+  // message.
+  std::unordered_map<Tag, std::vector<RecvState*>> by_tag;
+  for (const auto* u : unexpected_ready_) by_tag[u->tag];
+  for (const auto& r : walk_) {
+    if (!r) continue;  // tombstone
+    if (r->bound || r->completed || r->unposted) continue;
+    if (auto it = by_tag.find(r->tag); it != by_tag.end()) {
+      it->second.push_back(r.get());
+    }
+  }
+  // deliver_unexpected() erases from unexpected_ready_: walk a snapshot.
+  const std::vector<UnexpectedEntry*> ready = unexpected_ready_;
+  for (UnexpectedEntry* u : ready) {
+    for (RecvState* r : by_tag[u->tag]) {
+      if (r->bound) continue;  // took an earlier message in this pass
+      bool src_ok = !r->src_match.has_value() || *r->src_match == u->from;
+      if (src_ok && u->msg_bytes <= r->capacity) {
+        // Still filed: walk_slot names its (possibly compacted) slot.
+        deliver_unexpected(walk_[r->walk_slot], u);
+        break;
       }
-      if (delivered) break;  // both lists changed; restart the scan
     }
   }
 }
@@ -857,6 +922,7 @@ void EmpEndpoint::deliver_unexpected(RecvHandle r, UnexpectedEntry* u) {
   RecvHandle handle = r;
   host_cpu_.run(model_.memcpy_cost(bytes), [this, handle] {
     handle->completed = true;
+    ++recv_completions_;
     handle->result =
         RecvResult{handle->from, handle->tag, handle->msg_bytes};
     handle->done_evt.set();
@@ -916,6 +982,7 @@ void EmpEndpoint::handle_ack(const EmpHeader& h) {
   auto it = pending_sends_.find(h.msg_id);
   if (it == pending_sends_.end()) return;  // late ack for a finished send
   SendHandle st = it->second;
+  touch_send(h.msg_id);
   if (h.ack_value > st->acked_frames) {
     st->acked_frames = h.ack_value;
     st->retries = 0;  // progress resets the give-up counter

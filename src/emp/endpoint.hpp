@@ -269,6 +269,15 @@ class EmpEndpoint {
   [[nodiscard]] bool test_recv(const RecvHandle& h) const {
     return h->completed || h->failed;
   }
+
+  /// Receive completions so far: bumped every time a RecvState becomes
+  /// completed (RecvState::failed is never set).  A caller that walked its
+  /// descriptors and found none complete may skip the next walk while this
+  /// still reads the same value, provided it adds no descriptor that is
+  /// already complete in between.
+  [[nodiscard]] std::uint64_t recv_completions() const noexcept {
+    return recv_completions_;
+  }
   [[nodiscard]] bool test_send_acked(const SendHandle& h) const {
     return h->acked_done || h->failed;
   }
@@ -319,7 +328,9 @@ class EmpEndpoint {
 
   /// Cross-layer invariants: in-flight-frame / cumulative-ACK consistency,
   /// receive-binding consistency, translation-cache and history bounds.
-  /// Registered with the engine's checker registry at construction.
+  /// Registered with the engine's checker registry at construction, with
+  /// an incremental form that verifies only the sends and bindings written
+  /// since the last sweep.
   void check_invariants() const;
 
  private:
@@ -441,6 +452,28 @@ class EmpEndpoint {
     if (completion_hook_) completion_hook_();
   }
 
+  // Invariant checking.  Writes to a checked field of a pending send or a
+  // binding record its key; the dirty sweep verifies just those keys, or
+  // the whole table when that is no more work.  A key whose object is
+  // gone by then is skipped, as a full sweep would not see the object
+  // either.  With sweeping disabled nothing is recorded.
+  void check_send(std::uint32_t id, const SendState& st) const;
+  void check_binding(std::uint64_t key, const Binding& b) const;
+  void check_all_sends() const;
+  void check_all_bindings() const;
+  void check_bounds() const;
+  void check_dirty();
+  void forget_dirty() {
+    dirty_sends_.clear();
+    dirty_bindings_.clear();
+  }
+  void touch_send(std::uint32_t msg_id) {
+    if (eng_.check_interval() != 0) dirty_sends_.add(msg_id);
+  }
+  void touch_binding(std::uint64_t key) {
+    if (eng_.check_interval() != 0) dirty_bindings_.add(key);
+  }
+
   sim::Engine& eng_;
   sim::CostModel model_;
   nic::NicDevice& nic_;
@@ -456,6 +489,9 @@ class EmpEndpoint {
   std::function<void()> completion_hook_;
 
   std::uint32_t next_msg_id_ = 1;
+  std::uint64_t recv_completions_ = 0;
+  check::DirtyKeys<std::uint32_t> dirty_sends_;     // pending_sends_ keys
+  check::DirtyKeys<std::uint64_t> dirty_bindings_;  // bound_ keys
 
   /// Remove `r` from the walk list by tombstoning its slot (null entry;
   /// post order preserved), compacting only when tombstones outnumber live

@@ -457,6 +457,7 @@ void ShardGroup::run(unsigned threads) {
     run_parallel(resolved);
   }
   // Quiesced: every queue drained, every mailbox delivered.
+  for (auto& eng : engines_) eng->sweep_drained();
   checks_.run_all();
   flush_metrics();
 }

@@ -65,8 +65,13 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
       recv_scratch_hwm_(eng.metrics().gauge("host/recv_scratch_hwm")),
       tracer_(eng.tracer()),
       trk_(eng.tracer().track("h" + std::to_string(ep.node_id()), "sockets")),
-      inv_check_(eng.checks(), "sockets.substrate",
-                 [this] { check_invariants(); }) {
+      inv_check_(
+          eng.checks(), "sockets.substrate",
+          [this] {
+            check_invariants();
+            dirty_sds_.clear();
+          },
+          [this] { check_dirty(); }) {
   // Every EMP completion wakes whatever substrate call is blocked.
   ep_.set_completion_hook([this] { activity_.notify_all(); });
 }
@@ -85,45 +90,62 @@ SubstrateStats EmpSocketStack::stats() const noexcept {
 }
 
 void EmpSocketStack::check_invariants() const {
-  for (const auto& [sd, s] : socks_) {
-    if (s->state != Sock::State::kConnected || s->terminated) continue;
-    // Credit conservation (§6.1): the peer only returns credits for
-    // messages it consumed, so the credits we hold can never exceed the
-    // window negotiated at connect time.
-    ULSOCKS_INVARIANT(
-        s->send_credits <= s->cfg.credits,
-        check::msgf("sd=%d credit conservation violated: send_credits=%u > "
-                    "credits=%u",
-                    sd, s->send_credits, s->cfg.credits));
-    // Consumed-but-unacknowledged messages are bounded by the window too:
-    // the peer cannot have more messages outstanding than it had credits.
-    ULSOCKS_INVARIANT(
-        s->consumed_unacked <= s->cfg.credits,
-        check::msgf("sd=%d consumed_unacked=%u > credits=%u", sd,
-                    s->consumed_unacked, s->cfg.credits));
-    // Descriptor-count bounds: N data descriptors and the configured
-    // control-descriptor layout ("2N", §6.1) are ceilings, never exceeded.
-    std::uint32_t max_data = s->cfg.data_streaming ? s->cfg.credits : 0;
-    ULSOCKS_INVARIANT(
-        s->data_slots.size() <= max_data,
-        check::msgf("sd=%d data descriptor bound violated: %zu > %u", sd,
-                    s->data_slots.size(), max_data));
-    ULSOCKS_INVARIANT(
-        s->ctrl_slots.size() <= s->cfg.ctrl_descriptors(),
-        check::msgf("sd=%d ctrl descriptor bound violated: %zu > %u", sd,
-                    s->ctrl_slots.size(), s->cfg.ctrl_descriptors()));
-    ULSOCKS_INVARIANT(
-        s->cfg.credits == 0 || s->staging_next < s->cfg.credits,
-        check::msgf("sd=%d staging ring index %u out of bounds (credits=%u)",
-                    sd, s->staging_next, s->cfg.credits));
-    // Close accounting (§5.3): the counted close message bounds how many
-    // messages we may consume from the peer.
-    ULSOCKS_INVARIANT(
-        !s->peer_closed || s->data_msgs_consumed <= s->peer_msgs_total,
-        check::msgf("sd=%d consumed %llu messages but peer sent %llu", sd,
-                    static_cast<unsigned long long>(s->data_msgs_consumed),
-                    static_cast<unsigned long long>(s->peer_msgs_total)));
+  // Order-insensitive sweep: per-socket asserts only, nothing mutated or
+  // scheduled, so hash order cannot leak into simulated state.
+  for (const auto& [sd, s] : socks_) {  // NOLINT(ulsan-determinism)
+    check_sock(sd, *s);
   }
+}
+
+void EmpSocketStack::check_dirty() {
+  if (dirty_sds_.size() >= socks_.size()) {
+    check_invariants();
+  } else {
+    for (int sd : dirty_sds_.keys()) {
+      if (const SockPtr* s = find_sock(sd)) check_sock(sd, **s);
+    }
+  }
+  dirty_sds_.clear();
+}
+
+void EmpSocketStack::check_sock(int sd, const Sock& s) const {
+  if (s.state != Sock::State::kConnected || s.terminated) return;
+  // Credit conservation (§6.1): the peer only returns credits for
+  // messages it consumed, so the credits we hold can never exceed the
+  // window negotiated at connect time.
+  ULSOCKS_INVARIANT(
+      s.send_credits <= s.cfg.credits,
+      check::msgf("sd=%d credit conservation violated: send_credits=%u > "
+                  "credits=%u",
+                  sd, s.send_credits, s.cfg.credits));
+  // Consumed-but-unacknowledged messages are bounded by the window too:
+  // the peer cannot have more messages outstanding than it had credits.
+  ULSOCKS_INVARIANT(
+      s.consumed_unacked <= s.cfg.credits,
+      check::msgf("sd=%d consumed_unacked=%u > credits=%u", sd,
+                  s.consumed_unacked, s.cfg.credits));
+  // Descriptor-count bounds: N data descriptors and the configured
+  // control-descriptor layout ("2N", §6.1) are ceilings, never exceeded.
+  std::uint32_t max_data = s.cfg.data_streaming ? s.cfg.credits : 0;
+  ULSOCKS_INVARIANT(
+      s.data_slots.size() <= max_data,
+      check::msgf("sd=%d data descriptor bound violated: %zu > %u", sd,
+                  s.data_slots.size(), max_data));
+  ULSOCKS_INVARIANT(
+      s.ctrl_slots.size() <= s.cfg.ctrl_descriptors(),
+      check::msgf("sd=%d ctrl descriptor bound violated: %zu > %u", sd,
+                  s.ctrl_slots.size(), s.cfg.ctrl_descriptors()));
+  ULSOCKS_INVARIANT(
+      s.cfg.credits == 0 || s.staging_next < s.cfg.credits,
+      check::msgf("sd=%d staging ring index %u out of bounds (credits=%u)",
+                  sd, s.staging_next, s.cfg.credits));
+  // Close accounting (§5.3): the counted close message bounds how many
+  // messages we may consume from the peer.
+  ULSOCKS_INVARIANT(
+      !s.peer_closed || s.data_msgs_consumed <= s.peer_msgs_total,
+      check::msgf("sd=%d consumed %llu messages but peer sent %llu", sd,
+                  static_cast<unsigned long long>(s.data_msgs_consumed),
+                  static_cast<unsigned long long>(s.peer_msgs_total)));
 }
 
 EmpSocketStack::SockPtr& EmpSocketStack::sock(int sd) {
@@ -236,7 +258,8 @@ sim::Task<void> EmpSocketStack::bind(int sd, SockAddr local) {
   if (s->state != Sock::State::kFresh) {
     throw SocketError(SockErr::kInvalid, "bind on active socket");
   }
-  for (const auto& [other_sd, other] : socks_) {
+  // Order-insensitive: any listener on the port refuses the bind.
+  for (const auto& [other_sd, other] : socks_) {  // NOLINT(ulsan-determinism)
     if (other->state == Sock::State::kListening &&
         other->local.port == local.port) {
       throw SocketError(SockErr::kInUse, "port already bound");
@@ -303,6 +326,7 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
     slot->handle = co_await ep_.post_recv(s->peer_node, s->my_data,
                                           slot->buffer, /*want_slices=*/true);
     s->data_slots.push_back(std::move(slot));
+    s->headers_parsed_at = kNoWalk;
   }
   // ... plus control descriptors ("2N", §6.1) unless acks ride the
   // unexpected queue (§6.4).
@@ -314,6 +338,7 @@ sim::Task<void> EmpSocketStack::post_connection_resources(const SockPtr& s) {
         co_await ep_.post_recv(s->peer_node, s->my_ctrl, slot->buffer);
     s->ctrl_slots.push_back(std::move(slot));
   }
+  touch(*s);
   if (s->cfg.unexpected_queue_acks) {
     // Entries are sized to also absorb small data messages that arrive
     // between the initiator's connect() and the acceptor's resource
@@ -388,6 +413,7 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
   }
   s->established = true;
   s->state = Sock::State::kConnected;
+  touch(*s);
   if (tracer_.enabled()) {
     tracer_.complete(trk_, t0, eng_.now() - t0, "connect",
                      "\"sd\":" + std::to_string(sd));
@@ -397,11 +423,15 @@ sim::Task<void> EmpSocketStack::connect(int sd, SockAddr remote) {
 
 sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
                                                Slot& slot, SockAddr* peer) {
-  // Head-of-backlog connection request (§5.1).
+  // Head-of-backlog connection request (§5.1).  Claim it before the first
+  // suspension: until the repost replaces the completed handle, another
+  // acceptor would otherwise complete the same request a second time.
+  slot.claimed = true;
   auto req = decode_conn_request(slot.buffer);
   // Recycle the descriptor so the backlog depth is maintained.
   slot.handle = co_await ep_.post_recv(
       std::nullopt, listen_tag(listener->local.port), slot.buffer);
+  slot.claimed = false;
   if (!req) co_return -1;  // malformed request: drop
 
   auto child = std::make_shared<Sock>();
@@ -430,6 +460,7 @@ sim::Task<int> EmpSocketStack::complete_accept(const SockPtr& listener,
   int child_sd = next_sd_++;
   child->sd = child_sd;
   socks_[child_sd] = child;
+  touch(*child);
   eng_.spawn(pump(child));
   ++ctr_.connections_accepted;
   if (peer != nullptr) *peer = child->remote;
@@ -443,8 +474,10 @@ sim::Task<int> EmpSocketStack::accept(int sd, SockAddr* peer) {
     throw SocketError(SockErr::kInvalid, "accept on non-listening socket");
   }
   for (;;) {
-    for (auto& slot : listener->conn_slots) {
-      if (!ep_.test_recv(slot->handle)) continue;
+    // By index, holding a shared owner, as in accept_many().
+    for (std::size_t i = 0; i < listener->conn_slots.size(); ++i) {
+      auto slot = listener->conn_slots[i];
+      if (slot->claimed || !ep_.test_recv(slot->handle)) continue;
       int child_sd = co_await complete_accept(listener, *slot, peer);
       if (child_sd < 0) continue;
       co_return child_sd;
@@ -470,7 +503,7 @@ sim::Task<std::size_t> EmpSocketStack::accept_many(
     // across complete_accept()'s suspension even if close() clears
     // conn_slots meanwhile.
     auto slot = listener->conn_slots[i];
-    if (!ep_.test_recv(slot->handle)) continue;
+    if (slot->claimed || !ep_.test_recv(slot->handle)) continue;
     SockAddr peer{};
     int child_sd = co_await complete_accept(listener, *slot, &peer);
     if (child_sd < 0) continue;
@@ -571,6 +604,7 @@ sim::Task<void> EmpSocketStack::send_ctrl(const SockPtr& s, CtrlMsg m) {
 }
 
 void EmpSocketStack::apply_ctrl(const SockPtr& s, const CtrlMsg& m) {
+  touch(*s);
   switch (m.type) {
     case CtrlType::kCreditAck:
       s->send_credits += m.a;
@@ -650,6 +684,12 @@ sim::Task<void> EmpSocketStack::drain_ctrl(const SockPtr& s, bool& progress) {
 }
 
 bool EmpSocketStack::parse_arrived_data_headers(const SockPtr& s) {
+  // Every slot the last walk passed over was parsed or incomplete, and a
+  // slot entering the list resets the memo: with no receive completed
+  // since, this walk would find nothing either.
+  const std::uint64_t completions = ep_.recv_completions();
+  if (s->headers_parsed_at == completions) return false;
+  s->headers_parsed_at = completions;
   bool progress = false;
   for (auto& slot : s->data_slots) {
     if (slot->parsed || !ep_.test_recv(slot->handle)) continue;
@@ -670,6 +710,7 @@ bool EmpSocketStack::parse_arrived_data_headers(const SockPtr& s) {
       DataHeader h = decode_data_header(hp);
       if (h.piggyback_credits > 0) {
         s->send_credits += h.piggyback_credits;  // §6.1 piggy-backed return
+        touch(*s);
       }
     }
   }
@@ -744,6 +785,7 @@ sim::Task<void> EmpSocketStack::maybe_send_credit_ack(const SockPtr& s,
     m.type = CtrlType::kCreditAck;
     m.a = s->consumed_unacked;
     s->consumed_unacked = 0;
+    touch(*s);
     ++ctr_.credit_acks_tx;
     co_await send_ctrl(s, m);
   }
@@ -850,10 +892,13 @@ sim::Task<std::size_t> EmpSocketStack::read_impl(int sd,
       if (consumed) {
         auto finished = std::move(s->data_slots.front());
         s->data_slots.pop_front();
+        touch(*s);
         co_await repost_slot(s, *finished);
         s->data_slots.push_back(std::move(finished));
+        s->headers_parsed_at = kNoWalk;
         ++s->consumed_unacked;
         ++s->data_msgs_consumed;
+        touch(*s);
         co_await maybe_send_credit_ack(s, /*force=*/false);
       }
       co_return n;
@@ -922,6 +967,7 @@ sim::Task<void> EmpSocketStack::acquire_credit(const SockPtr& s) {
     if (!progress) co_await activity_.wait();
   }
   --s->send_credits;
+  touch(*s);
   // Time write() spent blocked on the §6.1 credit window; ~0 when the
   // reader keeps up.
   ctr_.credit_stall_ns.observe(eng_.now() - t0);
@@ -946,6 +992,7 @@ sim::Task<std::size_t> EmpSocketStack::eager_write(
     ctr_.credits_piggybacked += h.piggyback_credits;
     s->consumed_unacked -= h.piggyback_credits;
   }
+  touch(*s);
 
   ++ctr_.eager_messages_tx;
   ++s->data_msgs_sent;
@@ -1041,6 +1088,7 @@ sim::Task<std::size_t> EmpSocketStack::dg_read(const SockPtr& s,
       if (n < claimed->bytes) ++ctr_.truncated_datagrams;
       ++s->consumed_unacked;
       ++s->data_msgs_consumed;
+      touch(*s);
       co_await maybe_send_credit_ack(s, /*force=*/false);
       co_return n;
     }
@@ -1091,6 +1139,7 @@ sim::Task<std::size_t> EmpSocketStack::dg_read(const SockPtr& s,
     if (n < result.bytes) ++ctr_.truncated_datagrams;
     ++s->consumed_unacked;
     ++s->data_msgs_consumed;
+    touch(*s);
     co_await maybe_send_credit_ack(s, /*force=*/false);
     co_return n;
   }
@@ -1113,6 +1162,7 @@ sim::Task<std::size_t> EmpSocketStack::rendezvous_read(
     co_await send_ctrl(s, grant);
     auto result = co_await ep_.wait_recv(handle);
     ++s->data_msgs_consumed;
+    touch(*s);
     co_return result.bytes;
   }
   // User buffer too small: land in a pooled arena and truncate (datagram
@@ -1129,6 +1179,7 @@ sim::Task<std::size_t> EmpSocketStack::rendezvous_read(
   release_arena(std::move(tmp));
   ++ctr_.truncated_datagrams;
   ++s->data_msgs_consumed;
+  touch(*s);
   co_return n;
 }
 
@@ -1137,9 +1188,13 @@ bool EmpSocketStack::readable(int sd) const {
   if (sp == nullptr) return false;
   const Sock& s = **sp;
   if (s.state == Sock::State::kListening) {
+    // O(1) amortized: see Sock::accept_idle_at.
+    const std::uint64_t completions = ep_.recv_completions();
+    if (s.accept_idle_at == completions) return false;
     for (const auto& slot : s.conn_slots) {
-      if (ep_.test_recv(slot->handle)) return true;
+      if (!slot->claimed && ep_.test_recv(slot->handle)) return true;
     }
+    s.accept_idle_at = completions;
     return false;
   }
   if (s.state != Sock::State::kConnected) return false;

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,7 +96,9 @@ class EmpSocketStack final : public os::SocketApi {
 
   /// Cross-layer invariants (§6.1 credit conservation, descriptor-count
   /// bounds, close accounting).  Registered with the engine's checker
-  /// registry at construction; throws check::InvariantError on violation.
+  /// registry at construction, with an incremental form that verifies only
+  /// the sockets written since the last sweep; throws
+  /// check::InvariantError on violation.
   void check_invariants() const;
 
  private:
@@ -108,7 +111,15 @@ class EmpSocketStack final : public os::SocketApi {
     std::uint32_t msg_bytes = 0;   // valid once parsed
     std::uint32_t offset = 0;      // payload bytes already consumed
     bool parsed = false;           // header seen (credits applied)
+    // Connection slots only: an acceptor owns the request until its repost
+    // replaces the completed handle, so no other acceptor takes it too.
+    bool claimed = false;
   };
+
+  /// "Not yet walked" value of the walk memos below; recv_completions()
+  /// never reaches it.
+  static constexpr std::uint64_t kNoWalk =
+      std::numeric_limits<std::uint64_t>::max();
 
   struct Sock {
     enum class State : std::uint8_t {
@@ -129,6 +140,12 @@ class EmpSocketStack final : public os::SocketApi {
     // shared_ptr: an acceptor parked inside complete_accept() keeps its
     // slot alive even if close() clears the deque while it is suspended.
     std::deque<std::shared_ptr<Slot>> conn_slots;
+    // ep_.recv_completions() at the last readable() walk that found no
+    // acceptable slot.  While the counter still reads this value no slot
+    // can have become acceptable: a slot turns acceptable only when its
+    // handle completes, and a repost or a released claim installs a fresh,
+    // incomplete handle.
+    mutable std::uint64_t accept_idle_at = kNoWalk;
 
     // Connection state.
     std::vector<std::uint8_t> arena;  // backing store for every slot buffer
@@ -143,6 +160,10 @@ class EmpSocketStack final : public os::SocketApi {
     std::uint32_t consumed_unacked = 0;
     std::uint32_t next_rend_id = 1;
     std::deque<std::unique_ptr<Slot>> data_slots;  // FIFO arrival order
+    // ep_.recv_completions() at the last full parse_arrived_data_headers()
+    // walk; kNoWalk after any data_slots.push_back (a slot entering the
+    // list may already be complete).
+    std::uint64_t headers_parsed_at = kNoWalk;
     std::deque<std::unique_ptr<Slot>> ctrl_slots;  // empty in UQ mode
     std::deque<CtrlMsg> pending_rend;              // rendezvous requests
     std::unordered_map<std::uint32_t, bool> rend_granted;
@@ -222,6 +243,17 @@ class EmpSocketStack final : public os::SocketApi {
 
   [[nodiscard]] bool front_data_ready(const Sock& s) const;
 
+  // Invariant checking.  Every write to a checked field of a socket
+  // records its sd; the dirty sweep verifies just those, or every socket
+  // when that is no more work.  An sd closed by then is skipped, as a full
+  // sweep would not see it either.  With sweeping disabled nothing is
+  // recorded.
+  void check_sock(int sd, const Sock& s) const;
+  void check_dirty();
+  void touch(const Sock& s) {
+    if (eng_.check_interval() != 0) dirty_sds_.add(s.sd);
+  }
+
   /// Registry-backed counter/histogram handles under "h<N>/sockets/".
   struct Instruments {
     obs::Counter& connections_accepted;
@@ -250,7 +282,11 @@ class EmpSocketStack final : public os::SocketApi {
 
   int next_sd_ = 1;
   std::uint16_t next_ephemeral_ = 40'000;
-  std::map<int, SockPtr> socks_;  // the active socket table (§5.3)
+  // The active socket table (§5.3), hashed by sd: lookups are the hot
+  // path at C10K.  Its two walks (the invariant sweep and bind()'s port
+  // check) are order-insensitive.
+  std::unordered_map<int, SockPtr> socks_;
+  check::DirtyKeys<int> dirty_sds_;
   std::deque<emp::Tag> free_local_bases_;
   std::deque<emp::Tag> free_remote_bases_;
   emp::Tag next_local_base_ = 16;       // [16, 0x4000)

@@ -148,6 +148,47 @@ TEST(EngineInvariants, CheckIntervalZeroDisablesSweeping) {
   EXPECT_EQ(sweeps, 0);
 }
 
+TEST(CheckRegistry, RunAllIsFullAndRunDirtyPrefersTheDirtyForm) {
+  Registry reg;
+  std::vector<std::string> calls;
+  reg.add("incremental", [&] { calls.push_back("full"); },
+          [&] { calls.push_back("dirty"); });
+  reg.add("plain", [&] { calls.push_back("plain"); });
+  reg.run_dirty();
+  reg.run_all();
+  reg.run_incremental_full();
+  EXPECT_EQ(calls, (std::vector<std::string>{"dirty", "plain", "full",
+                                             "plain", "full"}));
+}
+
+TEST(EngineInvariants, EverySixtyFourthSweepAndTheDrainAreFull) {
+  Engine eng;
+  eng.set_check_interval(1);
+  int full = 0;
+  int dirty = 0;
+  int plain = 0;
+  ScopedChecker inc(eng.checks(), "incremental", [&] { ++full; },
+                    [&] { ++dirty; });
+  ScopedChecker sc(eng.checks(), "plain", [&] { ++plain; });
+  for (int i = 0; i < 130; ++i) eng.schedule_at(10 * (i + 1), [] {});
+  eng.run();
+  // 130 periodic sweeps: numbers 64 and 128 are full, the rest dirty; the
+  // drained run adds one full sweep of the incremental checker only.
+  EXPECT_EQ(dirty, 128);
+  EXPECT_EQ(full, 3);
+  EXPECT_EQ(plain, 130);
+}
+
+TEST(EngineInvariants, DrainSweepRespectsDisabledSweeping) {
+  Engine eng;
+  eng.set_check_interval(0);
+  int full = 0;
+  ScopedChecker inc(eng.checks(), "incremental", [&] { ++full; }, [] {});
+  eng.schedule_at(10, [] {});
+  eng.run();
+  EXPECT_EQ(full, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Switch invariants
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "emp/endpoint.hpp"
@@ -396,6 +398,125 @@ TEST_F(EmpPair, UnexpectedReconciledWithDescriptorPostedWhileInFlight) {
   eng_.run();
   EXPECT_TRUE(got);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
+}
+
+TEST_F(EmpPair, UnexpectedMessagesFillFirstEligibleDescriptorInPostOrder) {
+  // Five messages on two tags wait on the unexpected queue before any
+  // descriptor exists.  Descriptors are then filed one by one; each ready
+  // message, oldest first, must land in the first eligible descriptor in
+  // post order.  A descriptor too small for the oldest message of its tag
+  // takes the first one that fits, and a wildcard-source descriptor filed
+  // before an exact-source one is eligible first.
+  constexpr Tag kA = 7;
+  constexpr Tag kB = 8;
+  struct Msg {
+    Tag tag;
+    std::size_t bytes;
+    std::uint8_t seed;
+  };
+  // Sent (and completed on the queue) in this order.
+  const std::vector<Msg> msgs = {
+      {kA, 100, 1}, {kA, 300, 2}, {kA, 50, 3}, {kB, 80, 4}, {kB, 90, 5}};
+  struct Desc {
+    Tag tag;
+    std::optional<NodeId> src;
+    std::size_t capacity;
+  };
+  // Filed in this order.
+  const std::vector<Desc> descs = {
+      {kA, NodeId{0}, 64},      // too small for msg 0 and 1, fits msg 2
+      {kA, std::nullopt, 512},  // wildcard source: takes msg 0
+      {kA, NodeId{0}, 512},     // exact source: takes msg 1
+      {kB, std::nullopt, 128},  // takes msg 3
+      {kB, NodeId{0}, 128},     // takes msg 4
+      {kA, NodeId{0}, 512},     // nothing left for it
+  };
+  const std::vector<int> expected_msg = {2, 0, 1, 3, 4, -1};
+
+  std::vector<std::vector<std::uint8_t>> bufs;
+  for (const auto& d : descs) bufs.emplace_back(d.capacity, 0);
+  std::vector<RecvHandle> handles(descs.size());
+
+  auto setup = [&]() -> Task<void> {
+    co_await ep_[1]->post_unexpected(8, 1024);
+  };
+  auto sender = [&]() -> Task<void> {
+    co_await eng_.delay(50'000);
+    for (const auto& m : msgs) {
+      auto h = co_await ep_[0]->post_send(1, m.tag, pattern(m.bytes, m.seed));
+      co_await ep_[0]->wait_send_acked(h);
+    }
+  };
+  auto receiver = [&]() -> Task<void> {
+    co_await eng_.delay(2'000'000);
+    EXPECT_EQ(ep_[1]->unexpected_ready_count(), msgs.size());
+    for (std::size_t i = 0; i < descs.size(); ++i) {
+      handles[i] = co_await ep_[1]->post_recv(descs[i].src, descs[i].tag,
+                                              bufs[i]);
+      co_await eng_.delay(100'000);  // filed and reconciled before the next
+    }
+  };
+  eng_.spawn(setup());
+  eng_.spawn(sender());
+  eng_.spawn(receiver());
+  eng_.run();
+
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    SCOPED_TRACE("descriptor " + std::to_string(i));
+    const int want = expected_msg[i];
+    if (want < 0) {
+      EXPECT_FALSE(ep_[1]->test_recv(handles[i]));
+      continue;
+    }
+    const Msg& m = msgs[static_cast<std::size_t>(want)];
+    ASSERT_TRUE(ep_[1]->test_recv(handles[i]));
+    EXPECT_EQ(handles[i]->result.tag, m.tag);
+    EXPECT_EQ(handles[i]->result.bytes, m.bytes);
+    auto expect = pattern(m.bytes, m.seed);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), bufs[i].begin()));
+  }
+  EXPECT_EQ(ep_[1]->unexpected_ready_count(), 0u);
+  EXPECT_EQ(ep_[1]->posted_descriptor_count(), 1u);
+  EXPECT_EQ(ep_[1]->stats().unexpected_claims, msgs.size());
+  EXPECT_EQ(ep_[1]->stats().unmatched_drops, 0u);
+}
+
+TEST_F(EmpPair, UnexpectedMessageCompletingLateTakesFirstEligibleDescriptor) {
+  // A multi-frame message binds to the unexpected queue; three matching
+  // descriptors are filed while it is still in flight.  When it
+  // completes, several are eligible at once: it must land in the first in
+  // post order that fits (the wildcard), skipping the too-small one.
+  constexpr Tag kTag = 6;
+  auto data = pattern(8'000, 21);
+  std::vector<std::uint8_t> small(1'000), wildcard(8'192), exact(8'192);
+  RecvHandle h_small, h_wildcard, h_exact;
+
+  auto setup = [&]() -> Task<void> {
+    co_await ep_[1]->post_unexpected(2, 16'384);
+  };
+  auto sender = [&]() -> Task<void> {
+    co_await eng_.delay(50'000);
+    auto h = co_await ep_[0]->post_send(1, kTag, data);
+    co_await ep_[0]->wait_send_acked(h);
+  };
+  auto receiver = [&]() -> Task<void> {
+    co_await eng_.delay(90'000);  // after the first frame, before the last
+    h_small = co_await ep_[1]->post_recv(NodeId{0}, kTag, small);
+    h_wildcard = co_await ep_[1]->post_recv(std::nullopt, kTag, wildcard);
+    h_exact = co_await ep_[1]->post_recv(NodeId{0}, kTag, exact);
+  };
+  eng_.spawn(setup());
+  eng_.spawn(sender());
+  eng_.spawn(receiver());
+  eng_.run();
+
+  EXPECT_EQ(ep_[1]->stats().unexpected_claims, 1u);
+  EXPECT_FALSE(ep_[1]->test_recv(h_small));
+  ASSERT_TRUE(ep_[1]->test_recv(h_wildcard));
+  EXPECT_FALSE(ep_[1]->test_recv(h_exact));
+  EXPECT_EQ(h_wildcard->result.bytes, data.size());
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), wildcard.begin()));
+  EXPECT_EQ(ep_[1]->posted_descriptor_count(), 2u);
 }
 
 TEST_F(EmpPair, UnpostRemovesDescriptor) {

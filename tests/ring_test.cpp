@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -271,6 +272,141 @@ TEST(RingSharded, CausallyInvariantAcrossShardCounts) {
   EXPECT_EQ(two, one) << "ring web diverged at 2 shards";
   EXPECT_EQ(four, one) << "ring web diverged at 4 shards";
   EXPECT_GT(one.responses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Scaled-down C10K: the host-side shortcuts on the server's hot path (the
+// walk memos in readable() and the data-header parse, the one-pass
+// unexpected-queue reconcile, incremental invariant sweeps) must leave the
+// simulated run bit-identical.
+// ---------------------------------------------------------------------------
+
+/// Forwards every call to `inner`, counting readable() probes.
+class ProbeCountingApi final : public os::SocketApi {
+ public:
+  explicit ProbeCountingApi(os::SocketApi& inner) : inner_(inner) {}
+  [[nodiscard]] std::uint64_t readable_probes() const { return probes_; }
+
+  Task<int> socket() override { return inner_.socket(); }
+  Task<void> bind(int sd, SockAddr local) override {
+    return inner_.bind(sd, local);
+  }
+  Task<void> listen(int sd, int backlog) override {
+    return inner_.listen(sd, backlog);
+  }
+  Task<int> accept(int sd, SockAddr* peer) override {
+    return inner_.accept(sd, peer);
+  }
+  Task<void> connect(int sd, SockAddr remote) override {
+    return inner_.connect(sd, remote);
+  }
+  Task<std::size_t> read(int sd, std::span<std::uint8_t> out) override {
+    return inner_.read(sd, out);
+  }
+  Task<std::size_t> write(int sd, std::span<const std::uint8_t> in) override {
+    return inner_.write(sd, in);
+  }
+  Task<std::size_t> read_view(int sd, os::RecvView& view,
+                              std::size_t max_bytes) override {
+    return inner_.read_view(sd, view, max_bytes);
+  }
+  Task<void> close(int sd) override { return inner_.close(sd); }
+  Task<void> set_option(int sd, os::SockOpt opt, int value) override {
+    return inner_.set_option(sd, opt, value);
+  }
+  Task<int> get_option(int sd, os::SockOpt opt) override {
+    return inner_.get_option(sd, opt);
+  }
+  bool readable(int sd) const override {
+    ++probes_;
+    return inner_.readable(sd);
+  }
+  bool writable(int sd) const override { return inner_.writable(sd); }
+  sim::CondVar& activity() override { return inner_.activity(); }
+  Task<std::size_t> accept_many(int sd, std::size_t max,
+                                std::vector<int>& out,
+                                std::vector<SockAddr>* peers) override {
+    return inner_.accept_many(sd, max, out, peers);
+  }
+
+ private:
+  os::SocketApi& inner_;
+  mutable std::uint64_t probes_ = 0;
+};
+
+struct C10kSignature {
+  std::uint64_t events = 0;
+  std::uint64_t digest = 0;
+  std::uint64_t causal = 0;
+  std::uint64_t readable_probes = 0;
+  std::size_t responses = 0;
+  friend bool operator==(const C10kSignature&,
+                         const C10kSignature&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const C10kSignature& s) {
+  return os << "{events=" << s.events << " digest=0x" << std::hex << s.digest
+            << " causal=0x" << s.causal << std::dec
+            << " readable_probes=" << s.readable_probes
+            << " responses=" << s.responses << "}";
+}
+
+/// 3 client hosts x `conns_per_host` single-connection clients (2 requests
+/// each, 256-byte responses, arrivals ~50 ns apart) against one ring
+/// server, in the credit-4 ds_da_uq configuration of the C10K workloads.
+C10kSignature run_c10k(std::size_t conns_per_host) {
+  constexpr std::size_t kClientHosts = 3;
+  constexpr std::uint32_t kRequests = 2;
+  sockets::SubstrateConfig cfg = sockets::preset("ds_da_uq").cfg;
+  cfg.credits = 4;
+  cfg.buffer_bytes = 2048;
+  Engine eng(1);
+  Cluster cl(eng, sim::calibrated_cost_model(), kClientHosts + 1, cfg);
+  ProbeCountingApi server_api(cl.stack(0, Cluster::StackKind::kSubstrate));
+  const std::size_t total = kClientHosts * conns_per_host;
+  std::vector<sim::OnlineStats> stats(total);
+  auto server = [&]() -> Task<void> {
+    os::Process proc(cl.node(0).host);
+    apps::WebServerOptions so;
+    so.requests_per_connection = kRequests;
+    so.max_connections = total;
+    so.backlog = 1024;
+    so.reap_batch = 64;
+    co_await apps::web_server_ring(proc, server_api, so);
+  };
+  auto client = [&](std::size_t host, std::size_t idx) -> Task<void> {
+    co_await eng.delay(10'000 + idx * 50);
+    os::Process proc(cl.node(host).host);
+    apps::WebClientOptions co;
+    co.server_node = 0;
+    co.response_bytes = 256;
+    co.requests_per_connection = kRequests;
+    co.total_requests = kRequests;
+    co_await apps::web_client(proc,
+                              cl.stack(host, Cluster::StackKind::kSubstrate),
+                              co, stats[idx]);
+  };
+  eng.spawn(server());
+  for (std::size_t h = 1; h <= kClientHosts; ++h) {
+    for (std::size_t c = 0; c < conns_per_host; ++c) {
+      eng.spawn(client(h, (h - 1) * conns_per_host + c));
+    }
+  }
+  eng.run();
+  C10kSignature sig{eng.events_executed(), eng.digest(), eng.causal_digest(),
+                    server_api.readable_probes(), 0};
+  for (const auto& st : stats) sig.responses += st.count();
+  return sig;
+}
+
+TEST(RingC10k, ScaledDownRunMatchesRecordedSignature) {
+  // Recorded with full O(connections) walks on every probe and parse and a
+  // full checker sweep every 1,024 events.  A change meant to alter the
+  // simulated run (or the server's probe pattern) re-records them: run
+  // this test and copy the signature the failure prints for run_c10k(64).
+  const C10kSignature expected{821508, 0xeac5e6d5a21c0800,
+                               0x44c0709b7c90f073, 253658, 384};
+  EXPECT_EQ(run_c10k(64), expected);
 }
 
 // ---------------------------------------------------------------------------

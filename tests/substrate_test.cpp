@@ -484,6 +484,144 @@ TEST_F(SubstrateTest, BacklogLimitsSimultaneousConnections) {
   EXPECT_GT(cluster_.node(0).emp.stats().retransmitted_frames, 0u);
 }
 
+TEST_F(SubstrateTest, ConcurrentAcceptsTakeOneRequestOnce) {
+  // Two accept() calls park on one listener and one connection request
+  // arrives.  Both wake; the first claims the request's slot while it
+  // reposts the descriptor, so the second must keep waiting rather than
+  // complete the same request again.
+  int accepted = 0;
+  auto acceptor = [&](int ls) -> Task<void> {
+    int cs = co_await stack(1).accept(ls, nullptr);
+    EXPECT_GT(cs, 0);
+    ++accepted;
+  };
+  auto server = [&]() -> Task<void> {
+    int ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, 4);
+    eng_.spawn(acceptor(ls));
+    eng_.spawn(acceptor(ls));
+  };
+  auto client = [&]() -> Task<void> {
+    co_await eng_.delay(100'000);
+    int s = co_await stack(0).socket();
+    co_await stack(0).connect(s, SockAddr{1, 80});
+  };
+  eng_.spawn(server());
+  eng_.spawn(client());
+  eng_.run();
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(stack(1).stats().connections_accepted, 1u);
+  // Listener plus the one child.
+  EXPECT_EQ(stack(1).active_socket_count(), 2u);
+}
+
+TEST_F(SubstrateTest, ListenerReadableTracksRequestsWithoutSocketCalls) {
+  // readable() on a listener skips its walk while no receive completed
+  // since the last walk found nothing.  A request landing must still flip
+  // it to true with no socket call in between, and accept_many() must
+  // flip it back.
+  std::vector<bool> seen;
+  auto server = [&]() -> Task<void> {
+    int ls = co_await stack(1).socket();
+    co_await stack(1).bind(ls, SockAddr{1, 80});
+    co_await stack(1).listen(ls, 8);
+    seen.push_back(stack(1).readable(ls));
+    seen.push_back(stack(1).readable(ls));  // memoized: still false
+    co_await eng_.delay(1'000'000);  // the client's request lands
+    seen.push_back(stack(1).readable(ls));
+    std::vector<int> fds;
+    std::size_t n = co_await stack(1).accept_many(ls, 8, fds);
+    EXPECT_EQ(n, 1u);
+    seen.push_back(stack(1).readable(ls));
+    co_await eng_.delay(1'000'000);  // a second request lands
+    seen.push_back(stack(1).readable(ls));
+  };
+  auto client = [&]() -> Task<void> {
+    co_await eng_.delay(100'000);
+    int a = co_await stack(0).socket();
+    co_await stack(0).connect(a, SockAddr{1, 80});
+    co_await eng_.delay(1'500'000);
+    int b = co_await stack(0).socket();
+    co_await stack(0).connect(b, SockAddr{1, 80});
+  };
+  eng_.spawn(server());
+  eng_.spawn(client());
+  eng_.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, false, true}));
+}
+
+TEST_F(SubstrateTest, PartialReadsAcrossRepostsApplyEachCreditOnce) {
+  // Request/reply on a four-credit window with piggy-backed returns, read
+  // a few bytes at a time.  Each reply is four messages, the first one
+  // carrying a piggy-backed credit; the client reads it slowly enough
+  // that the other three complete meanwhile, so the header parse walks
+  // again with the first still at the front.  Every consumed slot is reposted and
+  // re-enters the list while later messages land.  A header parsed twice
+  // would return its credit twice; the conservation checker, swept after
+  // every event, would then fire.
+  SubstrateConfig cfg = preset("ds_da_uq").cfg;
+  cfg.credits = 4;
+  cfg.buffer_bytes = 256;
+  Engine eng;
+  eng.set_check_interval(1);
+  Cluster cl(eng, sim::calibrated_cost_model(), 2, cfg);
+  constexpr int kRounds = 24;
+  constexpr std::size_t kReplyParts = 4;
+  const auto request = pattern(200, 5);
+  const auto reply = pattern(kReplyParts * 50, 9);
+  std::vector<std::uint8_t> replies;
+  auto server = [&]() -> Task<void> {
+    auto& st = cl.node(1).socks;
+    int ls = co_await st.socket();
+    co_await st.bind(ls, SockAddr{1, 80});
+    co_await st.listen(ls, 1);
+    int cs = co_await st.accept(ls, nullptr);
+    std::vector<std::uint8_t> buf(7);
+    for (int i = 0; i < kRounds; ++i) {
+      std::size_t got = 0;
+      while (got < request.size()) {
+        got += co_await st.read(
+            cs, std::span(buf).first(std::min(buf.size(), request.size() - got)));
+      }
+      for (std::size_t p = 0; p < kReplyParts; ++p) {
+        co_await st.write_all(cs, std::span(reply).subspan(p * 50, 50));
+      }
+    }
+    co_await st.close(cs);
+    co_await st.close(ls);
+  };
+  auto client = [&]() -> Task<void> {
+    auto& st = cl.node(0).socks;
+    co_await eng.delay(1000);
+    int s = co_await st.socket();
+    co_await st.connect(s, SockAddr{1, 80});
+    std::vector<std::uint8_t> buf(13);
+    for (int i = 0; i < kRounds; ++i) {
+      co_await st.write_all(s, request);
+      std::size_t got = 0;
+      while (got < reply.size()) {
+        std::size_t n = co_await st.read(
+            s, std::span(buf).first(std::min(buf.size(), reply.size() - got)));
+        replies.insert(replies.end(), buf.begin(), buf.begin() + n);
+        got += n;
+        co_await eng.delay(20'000);
+      }
+    }
+    co_await st.close(s);
+  };
+  eng.spawn(server());
+  eng.spawn(client());
+  eng.run();
+  ASSERT_EQ(replies.size(), kRounds * reply.size());
+  for (int i = 0; i < kRounds; ++i) {
+    EXPECT_TRUE(std::equal(reply.begin(), reply.end(),
+                           replies.begin() + i * reply.size()))
+        << "round " << i;
+  }
+  EXPECT_GT(cl.node(1).socks.stats().credits_piggybacked, 0u);
+}
+
 TEST_F(SubstrateTest, SelectWakesOnReadable) {
   std::vector<int> ready_fds;
   auto server = [&]() -> Task<void> {
