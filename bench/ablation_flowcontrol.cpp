@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   for (std::size_t size : {4ul, 1024ul, 4096ul}) {
     std::vector<std::string> row{size_label(size)};
     for (std::size_t s = 0; s < std::size(stacks); ++s) {
-      double us = measure_latency_us(stacks[s], size, iters);
-      results.add(series[s], stacks[s], size_label(size), us, "us");
-      row.push_back(sim::ResultTable::num(us, 1));
+      const RunReport run = measure_latency_us(stacks[s], size, iters);
+      results.add(series[s], stacks[s], size_label(size), run, "us");
+      row.push_back(sim::ResultTable::num(run.value, 1));
     }
     lat.add_row(row);
   }
@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
   std::printf("\nstreaming bandwidth (Mb/s), 64 KB writes:\n");
   sim::ResultTable bw({"scheme", "mbps"});
   for (std::size_t s = 0; s < std::size(stacks); ++s) {
-    double mbps = measure_bandwidth_mbps(stacks[s], 65536, total);
-    results.add(std::string("bw_") + series[s], stacks[s], "64K", mbps,
+    const RunReport run = measure_bandwidth_mbps(stacks[s], 65536, total);
+    results.add(std::string("bw_") + series[s], stacks[s], "64K", run,
                 "mbps");
-    bw.add_row({series[s], sim::ResultTable::num(mbps, 0)});
+    bw.add_row({series[s], sim::ResultTable::num(run.value, 0)});
   }
   bw.print();
   std::printf(

@@ -24,28 +24,29 @@ int main(int argc, char** argv) {
   std::printf("Ablation: dual vs single NIC firmware CPU\n\n");
   sim::ResultTable table({"metric", "dual_cpu", "single_cpu"});
 
-  double lat_dual = measure_latency_us_nic(sub, 4, /*dual=*/true);
+  const RunReport lat_dual = measure_latency_us_nic(sub, 4, /*dual=*/true);
   results.add("latency_4B", sub, "dual", lat_dual, "us");
-  double lat_single = measure_latency_us_nic(sub, 4, /*dual=*/false);
+  const RunReport lat_single = measure_latency_us_nic(sub, 4, /*dual=*/false);
   results.add("latency_4B", sub, "single", lat_single, "us");
-  table.add_row({"latency_4B_us", sim::ResultTable::num(lat_dual, 1),
-                 sim::ResultTable::num(lat_single, 1)});
+  table.add_row({"latency_4B_us", sim::ResultTable::num(lat_dual.value, 1),
+                 sim::ResultTable::num(lat_single.value, 1)});
 
-  double bw_dual = measure_bandwidth_mbps_nic(sub, 65536, total,
-                                              /*dual=*/true);
+  const RunReport bw_dual =
+      measure_bandwidth_mbps_nic(sub, 65536, total, /*dual=*/true);
   results.add("stream_bw", sub, "dual", bw_dual, "mbps");
-  double bw_single = measure_bandwidth_mbps_nic(sub, 65536, total,
-                                                /*dual=*/false);
+  const RunReport bw_single =
+      measure_bandwidth_mbps_nic(sub, 65536, total, /*dual=*/false);
   results.add("stream_bw", sub, "single", bw_single, "mbps");
-  table.add_row({"stream_mbps", sim::ResultTable::num(bw_dual, 0),
-                 sim::ResultTable::num(bw_single, 0)});
+  table.add_row({"stream_mbps", sim::ResultTable::num(bw_dual.value, 0),
+                 sim::ResultTable::num(bw_single.value, 0)});
 
-  double emp_dual = measure_latency_us_nic(emp, 4, true);
+  const RunReport emp_dual = measure_latency_us_nic(emp, 4, true);
   results.add("raw_emp_latency", emp, "dual", emp_dual, "us");
-  double emp_single = measure_latency_us_nic(emp, 4, false);
+  const RunReport emp_single = measure_latency_us_nic(emp, 4, false);
   results.add("raw_emp_latency", emp, "single", emp_single, "us");
-  table.add_row({"raw_emp_latency_us", sim::ResultTable::num(emp_dual, 1),
-                 sim::ResultTable::num(emp_single, 1)});
+  table.add_row({"raw_emp_latency_us",
+                 sim::ResultTable::num(emp_dual.value, 1),
+                 sim::ResultTable::num(emp_single.value, 1)});
 
   table.print();
   std::printf(

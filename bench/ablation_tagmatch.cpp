@@ -20,12 +20,13 @@ int main(int argc, char** argv) {
 
   BenchResults results("ablation_tagmatch",
                        "NIC tag-matching walk cost (4-byte one-way, us)");
-  double base = measure_latency_with_extra_descriptors_us(0);
+  const double base = measure_latency_with_extra_descriptors_us(0).value;
   sim::ResultTable table(
       {"extra_descriptors", "latency_us", "delta_us", "ns_per_descriptor"});
   for (std::size_t extra : {0ul, 4ul, 8ul, 16ul, 32ul, 64ul, 128ul}) {
-    double lat = measure_latency_with_extra_descriptors_us(extra);
-    results.add("latency", "emp", "raw", std::to_string(extra), lat, "us");
+    const RunReport run = measure_latency_with_extra_descriptors_us(extra);
+    results.add("latency", "emp", "raw", std::to_string(extra), run, "us");
+    const double lat = run.value;
     double delta = lat - base;
     // The fillers sit on one side only, so the walk happens once per round
     // trip; one-way latency carries half of it.

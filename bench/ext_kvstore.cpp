@@ -3,7 +3,6 @@
 // mix, substrate vs kernel TCP — the workload the paper planned to carry
 // to commercial data centers.
 #include <cstdio>
-#include <map>
 
 #include "apps/cluster.hpp"
 #include "apps/kvstore.hpp"
@@ -15,10 +14,10 @@ using sim::Task;
 
 namespace {
 
+/// `run.value` is the mean operation latency (us).
 struct KvResult {
-  double mean_us = 0;
+  bench::RunReport run;
   double kops = 0;
-  std::map<std::string, std::int64_t> metrics;
 };
 
 KvResult run_kv(apps::Cluster::StackKind kind, std::size_t value_bytes,
@@ -55,14 +54,14 @@ KvResult run_kv(apps::Cluster::StackKind kind, std::size_t value_bytes,
       }
     }
     double us = sim::to_us(eng.now() - t0);
-    result.mean_us = us / static_cast<double>(ops);
+    result.run.value = us / static_cast<double>(ops);
     result.kops = static_cast<double>(ops) / (us / 1e3);
     co_await kv.close();
   };
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  result.metrics = eng.metrics().snapshot();
+  result.run.metrics = eng.metrics().snapshot();
   return result;
 }
 
@@ -87,17 +86,16 @@ int main(int argc, char** argv) {
   for (std::size_t bytes : {64ul, 1024ul, 8192ul}) {
     auto sub = run_kv(apps::Cluster::StackKind::kSubstrate, bytes, ops);
     results.add("Substrate", "substrate", "DS + Delayed Acks + UQ",
-                bench::size_label(bytes), sub.mean_us, "us",
-                std::move(sub.metrics));
+                bench::size_label(bytes), sub.run, "us");
     auto tcp = run_kv(apps::Cluster::StackKind::kTcp, bytes, ops);
-    results.add("TCP", "tcp", "default", bench::size_label(bytes),
-                tcp.mean_us, "us", std::move(tcp.metrics));
+    results.add("TCP", "tcp", "default", bench::size_label(bytes), tcp.run,
+                "us");
     table.add_row({bench::size_label(bytes),
-                   sim::ResultTable::num(sub.mean_us, 1),
+                   sim::ResultTable::num(sub.run.value, 1),
                    sim::ResultTable::num(sub.kops, 1),
-                   sim::ResultTable::num(tcp.mean_us, 1),
+                   sim::ResultTable::num(tcp.run.value, 1),
                    sim::ResultTable::num(tcp.kops, 1),
-                   sim::ResultTable::num(tcp.mean_us / sub.mean_us, 1)});
+                   sim::ResultTable::num(tcp.run.value / sub.run.value, 1)});
   }
   table.print();
   std::printf(

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
   for (std::size_t size : sizes) {
     std::vector<std::string> row{size_label(size)};
     for (std::size_t s = 0; s < std::size(stacks); ++s) {
-      double us = measure_latency_us(stacks[s], size, iters);
-      results.add(series[s], stacks[s], size_label(size), us, "us");
-      row.push_back(sim::ResultTable::num(us, 1));
+      const RunReport run = measure_latency_us(stacks[s], size, iters);
+      results.add(series[s], stacks[s], size_label(size), run, "us");
+      row.push_back(sim::ResultTable::num(run.value, 1));
     }
     table.add_row(row);
   }

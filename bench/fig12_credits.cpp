@@ -34,15 +34,15 @@ int main(int argc, char** argv) {
         imm, "DS credits=" + std::to_string(credits));
     auto dly_stack = StackChoice::substrate(
         dly, "DS+DA credits=" + std::to_string(credits));
-    double lat_imm = measure_latency_us(imm_stack, 4, iters);
+    const RunReport lat_imm = measure_latency_us(imm_stack, 4, iters);
     results.add("immediate_acks", imm_stack, std::to_string(credits),
                 lat_imm, "us");
-    double lat_dly = measure_latency_us(dly_stack, 4, iters);
+    const RunReport lat_dly = measure_latency_us(dly_stack, 4, iters);
     results.add("delayed_acks", dly_stack, std::to_string(credits), lat_dly,
                 "us");
     table.add_row({std::to_string(credits),
-                   sim::ResultTable::num(lat_imm, 1),
-                   sim::ResultTable::num(lat_dly, 1),
+                   sim::ResultTable::num(lat_imm.value, 1),
+                   sim::ResultTable::num(lat_dly.value, 1),
                    std::to_string(imm.ctrl_descriptors()),
                    std::to_string(dly.ctrl_descriptors())});
   }

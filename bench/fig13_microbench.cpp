@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     const std::size_t sizes[] = {4, 64, 256, 1024, 4096};
     const StackChoice* stacks[] = {&dg, &ds, &tcp_def};
     const char* series[] = {"Datagram", "DataStreaming", "TCP"};
-    std::vector<std::function<double()>> jobs;
+    std::vector<std::function<RunReport()>> jobs;
     for (std::size_t size : sizes) {
       for (const StackChoice* stack : stacks) {
         jobs.push_back(
@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
       double lat[3];
       for (std::size_t s = 0; s < 3; ++s, ++j) {
         lat[s] = points[j].value;
-        results.add(series[s], *stacks[s], size_label(size), lat[s], "us",
-                    points[j].metrics);
+        results.add(series[s], *stacks[s], size_label(size), points[j], "us");
       }
       table.add_row({size_label(size), sim::ResultTable::num(lat[0], 1),
                      sim::ResultTable::num(lat[1], 1),
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
     const StackChoice* stacks[] = {&ds, &dg, &tcp_def, &tcp_tuned, &emp};
     const char* series[] = {"bw_Substrate_DS", "bw_Datagram", "bw_TCP_16K",
                             "bw_TCP_tuned", "bw_raw_EMP"};
-    std::vector<std::function<double()>> jobs;
+    std::vector<std::function<RunReport()>> jobs;
     for (std::size_t size : sizes) {
       for (const StackChoice* stack : stacks) {
         jobs.push_back([stack, size, total] {
@@ -93,8 +92,8 @@ int main(int argc, char** argv) {
       double bw[5];
       for (std::size_t s = 0; s < 5; ++s, ++j) {
         bw[s] = points[j].value;
-        results.add(series[s], *stacks[s], size_label(size), bw[s], "mbps",
-                    points[j].metrics);
+        results.add(series[s], *stacks[s], size_label(size), points[j],
+                    "mbps");
       }
       table.add_row({size_label(size), sim::ResultTable::num(bw[0], 0),
                      sim::ResultTable::num(bw[1], 0),

@@ -32,16 +32,17 @@ int main(int argc, char** argv) {
       {"file", "DataStreaming", "Datagram", "TCP", "DS/TCP"});
   for (std::size_t mb : files_mb) {
     std::size_t bytes = mb << 20;
-    double mbps_ds = measure_ftp_mbps(ds, bytes);
+    const RunReport mbps_ds = measure_ftp_mbps(ds, bytes);
     results.add("DataStreaming", ds, size_label(bytes), mbps_ds, "mbps");
-    double mbps_dg = measure_ftp_mbps(dg, bytes);
+    const RunReport mbps_dg = measure_ftp_mbps(dg, bytes);
     results.add("Datagram", dg, size_label(bytes), mbps_dg, "mbps");
-    double mbps_tcp = measure_ftp_mbps(tcp, bytes);
+    const RunReport mbps_tcp = measure_ftp_mbps(tcp, bytes);
     results.add("TCP", tcp, size_label(bytes), mbps_tcp, "mbps");
-    table.add_row({size_label(bytes), sim::ResultTable::num(mbps_ds, 0),
-                   sim::ResultTable::num(mbps_dg, 0),
-                   sim::ResultTable::num(mbps_tcp, 0),
-                   sim::ResultTable::num(mbps_ds / mbps_tcp, 2)});
+    table.add_row({size_label(bytes),
+                   sim::ResultTable::num(mbps_ds.value, 0),
+                   sim::ResultTable::num(mbps_dg.value, 0),
+                   sim::ResultTable::num(mbps_tcp.value, 0),
+                   sim::ResultTable::num(mbps_ds.value / mbps_tcp.value, 2)});
   }
   table.print();
   std::printf(

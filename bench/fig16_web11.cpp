@@ -30,13 +30,13 @@ int main(int argc, char** argv) {
                        "Web server avg response time, HTTP/1.1 (us)");
   sim::ResultTable table({"reply_bytes", "Substrate", "TCP", "TCP/Sub"});
   for (std::uint32_t s : {4u, 64u, 256u, 1024u, 4096u, 8192u}) {
-    double us_sub = measure_web_response_us(sub, s, 8, requests);
+    const RunReport us_sub = measure_web_response_us(sub, s, 8, requests);
     results.add("Substrate", sub, size_label(s), us_sub, "us");
-    double us_tcp = measure_web_response_us(tcp, s, 8, requests);
+    const RunReport us_tcp = measure_web_response_us(tcp, s, 8, requests);
     results.add("TCP", tcp, size_label(s), us_tcp, "us");
-    table.add_row({size_label(s), sim::ResultTable::num(us_sub, 0),
-                   sim::ResultTable::num(us_tcp, 0),
-                   sim::ResultTable::num(us_tcp / us_sub, 1)});
+    table.add_row({size_label(s), sim::ResultTable::num(us_sub.value, 0),
+                   sim::ResultTable::num(us_tcp.value, 0),
+                   sim::ResultTable::num(us_tcp.value / us_sub.value, 1)});
   }
   table.print();
   std::printf(

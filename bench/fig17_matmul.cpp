@@ -29,13 +29,14 @@ int main(int argc, char** argv) {
                        "Matrix multiplication wall time (ms), 4 nodes");
   sim::ResultTable table({"N", "Substrate", "TCP", "TCP/Sub"});
   for (std::size_t n : problem_sizes) {
-    double ms_sub = measure_matmul_ms(sub, n);
+    const RunReport ms_sub = measure_matmul_ms(sub, n);
     results.add("Substrate", sub, std::to_string(n), ms_sub, "ms");
-    double ms_tcp = measure_matmul_ms(tcp, n);
+    const RunReport ms_tcp = measure_matmul_ms(tcp, n);
     results.add("TCP", tcp, std::to_string(n), ms_tcp, "ms");
-    table.add_row({std::to_string(n), sim::ResultTable::num(ms_sub, 2),
-                   sim::ResultTable::num(ms_tcp, 2),
-                   sim::ResultTable::num(ms_tcp / ms_sub, 2)});
+    table.add_row({std::to_string(n),
+                   sim::ResultTable::num(ms_sub.value, 2),
+                   sim::ResultTable::num(ms_tcp.value, 2),
+                   sim::ResultTable::num(ms_tcp.value / ms_sub.value, 2)});
   }
   table.print();
   std::printf(

@@ -4,15 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "apps/ftp.hpp"
@@ -28,18 +32,16 @@ namespace {
 
 using os::SockAddr;
 using sim::Engine;
+using Clock = std::chrono::steady_clock;
 
 constexpr std::uint16_t kPort = 5001;
 
-// Observability state of every measure_* routine.  The per-run snapshots
-// are thread_local so run_points() workers each see their own last run;
-// the host-perf totals are process-wide atomics folded into every bench
-// JSON.  The armed trace path stays global: arming a trace forces
-// run_points() serial, so only one thread ever touches it.
-thread_local std::map<std::string, std::int64_t> g_last_metrics;  // NOLINT
-thread_local HostPerf g_last_host_perf;                           // NOLINT
-thread_local std::chrono::steady_clock::time_point g_run_t0;      // NOLINT
-std::string g_trace_path;                                         // NOLINT
+// Process-wide observability state.  Each run's own numbers travel back in
+// its RunReport; what lives here describes the whole process: the
+// host-perf totals folded into every bench JSON, and the armed trace path
+// (arming a trace forces run_points() serial, so only one thread ever
+// touches it).
+std::string g_trace_path;                       // NOLINT
 std::atomic<std::uint64_t> g_total_events{0};   // NOLINT
 std::atomic<std::uint64_t> g_total_wall_ns{0};  // NOLINT
 std::atomic<unsigned> g_pool_threads{1};        // NOLINT
@@ -54,30 +56,39 @@ std::atomic<unsigned> g_resolved_threads{1};       // NOLINT
 std::mutex g_eps_mu;                                  // NOLINT
 std::vector<std::uint64_t> g_events_per_shard;        // NOLINT
 
-/// Call before spawning workload coroutines: starts the wall clock and
-/// turns the tracer on when a trace export is armed, so the whole run is
-/// captured.
-void arm_run(Engine& eng) {
-  if (!g_trace_path.empty()) eng.tracer().set_enabled(true);
-  g_run_t0 = std::chrono::steady_clock::now();
+/// Host cost of a run that started at `t0` and executed `events`; also
+/// folds it into the process-wide host_perf totals.
+HostPerf account_run(Clock::time_point t0, std::uint64_t events) {
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+          .count());
+  g_total_events.fetch_add(events, std::memory_order_relaxed);
+  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
+  HostPerf p;
+  p.wall_ms = static_cast<double>(wall_ns) / 1e6;
+  p.events = events;
+  p.events_per_sec = wall_ns > 0 ? static_cast<double>(events) * 1e9 /
+                                       static_cast<double>(wall_ns)
+                                 : 0.0;
+  return p;
 }
 
-/// Call after eng.run(): snapshots the registry and host perf, and flushes
-/// the armed trace export (first armed run only — later runs are
-/// untraced).
-void finish_run(Engine& eng) {
-  auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = eng.events_executed();
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0 ? static_cast<double>(eng.events_executed()) * 1e9 /
-                        static_cast<double>(wall_ns)
-                  : 0.0;
-  g_total_events.fetch_add(eng.events_executed(), std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = eng.metrics().snapshot();
+/// Call before spawning workload coroutines: turns the tracer on when a
+/// trace export is armed, so the whole run is captured, and returns the
+/// run's wall-clock start.
+Clock::time_point arm_run(Engine& eng) {
+  if (!g_trace_path.empty()) eng.tracer().set_enabled(true);
+  return Clock::now();
+}
+
+/// Call after eng.run(): reports `value` with the run's registry snapshot
+/// and host cost, and flushes the armed trace export (first armed run only
+/// — later runs are untraced).
+RunReport finish_run(Engine& eng, Clock::time_point t0, double value) {
+  RunReport run;
+  run.value = value;
+  run.perf = account_run(t0, eng.events_executed());
+  run.metrics = eng.metrics().snapshot();
   if (!g_trace_path.empty()) {
     if (!eng.tracer().export_chrome_json(g_trace_path)) {
       std::fprintf(stderr, "warning: could not write trace to %s\n",
@@ -88,6 +99,7 @@ void finish_run(Engine& eng) {
     }
     g_trace_path.clear();
   }
+  return run;
 }
 
 /// Merge the per-shard registry snapshots of a group into one map.  Host
@@ -130,6 +142,49 @@ void record_events_per_shard(ulsocks::sim::ShardGroup& group) {
   if (group.size() <= 1) return;
   std::lock_guard<std::mutex> lk(g_eps_mu);
   g_events_per_shard = group.events_executed_per_shard();
+}
+
+/// Worker threads for a sharded run.  Never oversubscribe a perf
+/// measurement: more workers than cores turns the epoch spin-barrier into
+/// scheduler thrash.  The simulated result is thread-count invariant, so
+/// clamping only changes wall clock.
+unsigned sharded_threads(unsigned threads, std::size_t shards) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::min({threads, hw, static_cast<unsigned>(shards)});
+}
+
+/// Run a sharded scale workload (ScaleWeb or ScaleC10k) whose options carry
+/// `shards` and the clamped `threads`, and report it: value is the host
+/// events/sec, metrics the merged cross-shard snapshot.  Also records the
+/// process-wide host_perf aggregates (shard count, epoch window, threads,
+/// per-shard load split).  No arm_run(): the tracer is per-engine and a
+/// sharded run has several, so trace exports stay a serial-run feature.
+template <class Scale>
+RunReport run_sharded(Scale& scale, const StackChoice& stack,
+                      std::size_t shards, unsigned threads) {
+  const auto start = Clock::now();
+  scale.run(stack.kind() == StackChoice::Kind::kTcp
+                ? Cluster::StackKind::kTcp
+                : Cluster::StackKind::kSubstrate);
+  RunReport run;
+  run.perf = account_run(start, scale.group().events_executed());
+  run.value = run.perf.events_per_sec;
+  run.metrics = merged_shard_metrics(scale.group());
+  record_events_per_shard(scale.group());
+  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
+  while (prev < shards && !g_shards.compare_exchange_weak(
+                              prev, shards, std::memory_order_relaxed)) {
+  }
+  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
+  // Record what the sharded run actually used (post-clamp), so the JSON
+  // says whether this host could demonstrate parallel speedup at all;
+  // check_hostperf.py keys its speedup assertion off this.
+  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
+  while (prev_t < threads &&
+         !g_resolved_threads.compare_exchange_weak(prev_t, threads,
+                                                   std::memory_order_relaxed)) {
+  }
+  return run;
 }
 
 /// CPU model name of this machine ("unknown" when /proc/cpuinfo has none).
@@ -180,8 +235,8 @@ os::SocketApi& pick(Cluster& cl, std::size_t node, const StackChoice& stack) {
 }
 
 /// Raw-EMP ping-pong (no sockets layer at all).
-double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
-                          bool dual_cpu) {
+RunReport raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
+                             bool dual_cpu) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, {}, {}, dual_cpu);
   auto msg = payload(msg_bytes);
@@ -211,16 +266,15 @@ double raw_emp_latency_us(std::size_t msg_bytes, int iters, int warmup,
     }
     one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  finish_run(eng);
-  return one_way_us;
+  return finish_run(eng, start, one_way_us);
 }
 
-double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
-                         int iters, int warmup, bool dual_cpu) {
+RunReport socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
+                            int iters, int warmup, bool dual_cpu) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
   auto msg = payload(msg_bytes);
@@ -257,16 +311,15 @@ double socket_latency_us(const StackChoice& stack, std::size_t msg_bytes,
     one_way_us = sim::to_us(eng.now() - t0) / (2.0 * iters);
     co_await api.close(s);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  finish_run(eng);
-  return one_way_us;
+  return finish_run(eng, start, one_way_us);
 }
 
-double raw_emp_bandwidth_mbps(std::size_t msg_bytes,
-                              std::size_t total_bytes) {
+RunReport raw_emp_bandwidth_mbps(std::size_t msg_bytes,
+                                 std::size_t total_bytes) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2);
   auto chunk = payload(msg_bytes);
@@ -312,16 +365,15 @@ double raw_emp_bandwidth_mbps(std::size_t msg_bytes,
       inflight.pop_front();
     }
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(receiver());
   eng.spawn(sender());
   eng.run();
-  finish_run(eng);
-  return mbps;
+  return finish_run(eng, start, mbps);
 }
 
-double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
-                             std::size_t total_bytes, bool dual_cpu) {
+RunReport socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
+                                std::size_t total_bytes, bool dual_cpu) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg(), {}, dual_cpu);
   auto chunk = payload(msg_bytes);
@@ -360,17 +412,16 @@ double socket_bandwidth_mbps(const StackChoice& stack, std::size_t msg_bytes,
     }
     co_await api.close(s);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(receiver());
   eng.spawn(sender());
   eng.run();
-  finish_run(eng);
-  return mbps;
+  return finish_run(eng, start, mbps);
 }
 
-double socket_bandwidth_view_mbps(const StackChoice& stack,
-                                  std::size_t msg_bytes,
-                                  std::size_t total_bytes) {
+RunReport socket_bandwidth_view_mbps(const StackChoice& stack,
+                                     std::size_t msg_bytes,
+                                     std::size_t total_bytes) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg());
   auto chunk = payload(msg_bytes);
@@ -410,12 +461,11 @@ double socket_bandwidth_view_mbps(const StackChoice& stack,
     }
     co_await api.close(s);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(receiver());
   eng.spawn(sender());
   eng.run();
-  finish_run(eng);
-  return mbps;
+  return finish_run(eng, start, mbps);
 }
 
 /// Append a JSON-rendered double ("%.6g"; non-finite values become 0).
@@ -463,51 +513,39 @@ StackChoice StackChoice::raw_emp() {
   return s;
 }
 
-const std::map<std::string, std::int64_t>& last_run_metrics() {
-  return g_last_metrics;
-}
-
-const HostPerf& last_run_host_perf() { return g_last_host_perf; }
-
-std::vector<MeasuredPoint> run_points(
-    std::vector<std::function<double()>> jobs, unsigned threads) {
-  std::vector<MeasuredPoint> out(jobs.size());
-  const bool serial =
-      threads <= 1 || jobs.size() <= 1 || !g_trace_path.empty();
-  if (serial) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      out[i].value = jobs[i]();
-      out[i].metrics = g_last_metrics;
-      out[i].perf = g_last_host_perf;
-    }
-    return out;
-  }
-  const unsigned pool_size =
-      static_cast<unsigned>(std::min<std::size_t>(threads, jobs.size()));
-  unsigned prev = g_pool_threads.load(std::memory_order_relaxed);
-  while (prev < pool_size &&
-         !g_pool_threads.compare_exchange_weak(prev, pool_size,
-                                               std::memory_order_relaxed)) {
-  }
-  std::atomic<std::size_t> next{0};
+std::vector<RunReport> run_points(
+    std::vector<std::function<RunReport()>> jobs, unsigned threads) {
+  std::vector<RunReport> out(jobs.size());
   std::vector<std::exception_ptr> errors(jobs.size());
+  std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (;;) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       try {
-        out[i].value = jobs[i]();
-        out[i].metrics = g_last_metrics;  // this worker's own run
-        out[i].perf = g_last_host_perf;
+        out[i] = jobs[i]();
       } catch (...) {
         errors[i] = std::current_exception();
       }
     }
   };
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (unsigned i = 0; i < pool_size; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
+  const bool serial =
+      threads <= 1 || jobs.size() <= 1 || !g_trace_path.empty();
+  if (serial) {
+    worker();
+  } else {
+    const unsigned pool_size =
+        static_cast<unsigned>(std::min<std::size_t>(threads, jobs.size()));
+    unsigned prev = g_pool_threads.load(std::memory_order_relaxed);
+    while (prev < pool_size &&
+           !g_pool_threads.compare_exchange_weak(prev, pool_size,
+                                                 std::memory_order_relaxed)) {
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(pool_size);
+    for (unsigned i = 0; i < pool_size; ++i) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
   for (const auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
@@ -534,18 +572,31 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Counts are non-negative decimal integers: atoi would read "abc" and
+    // "-1" as 0, the figure default, and silently run a full-size sweep.
+    auto count = [&]() -> unsigned {
+      const char* text = value();
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(text, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+          errno == ERANGE || n > INT_MAX) {
+        std::fprintf(stderr, "%s: %s needs a non-negative integer, got '%s'\n",
+                     argv[0], argv[i - 1], text);
+        std::exit(2);
+      }
+      return static_cast<unsigned>(n);
+    };
     if (arg == "--iters") {
-      opt.iters = std::atoi(value());
+      opt.iters = static_cast<int>(count());
     } else if (arg == "--trace") {
       opt.trace_path = value();
     } else if (arg == "--out") {
       opt.out_dir = value();
     } else if (arg == "--threads") {
-      int n = std::atoi(value());
-      opt.threads = n > 0 ? static_cast<unsigned>(n) : 0;
+      opt.threads = count();
     } else if (arg == "--shards") {
-      int n = std::atoi(value());
-      opt.shards = n > 0 ? static_cast<unsigned>(n) : 0;
+      opt.shards = count();
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: %s [--iters N] [--trace FILE] [--out DIR] "
@@ -570,36 +621,22 @@ BenchResults::BenchResults(std::string figure, std::string title)
     : figure_(std::move(figure)), title_(std::move(title)) {}
 
 void BenchResults::add(std::string_view series, const StackChoice& stack,
-                       std::string_view x, double value,
+                       std::string_view x, const RunReport& run,
                        std::string_view unit) {
-  add(series, stack.name(), stack.config_label(), x, value, unit);
-}
-
-void BenchResults::add(std::string_view series, const StackChoice& stack,
-                       std::string_view x, double value, std::string_view unit,
-                       std::map<std::string, std::int64_t> metrics) {
-  add(series, stack.name(), stack.config_label(), x, value, unit,
-      std::move(metrics));
+  add(series, stack.name(), stack.config_label(), x, run, unit);
 }
 
 void BenchResults::add(std::string_view series, std::string_view stack_name,
                        std::string_view config_label, std::string_view x,
-                       double value, std::string_view unit) {
-  add(series, stack_name, config_label, x, value, unit, g_last_metrics);
-}
-
-void BenchResults::add(std::string_view series, std::string_view stack_name,
-                       std::string_view config_label, std::string_view x,
-                       double value, std::string_view unit,
-                       std::map<std::string, std::int64_t> metrics) {
+                       const RunReport& run, std::string_view unit) {
   Point p;
   p.series = std::string(series);
   p.stack = std::string(stack_name);
   p.config = std::string(config_label);
   p.x = std::string(x);
-  p.value = value;
+  p.value = run.value;
   p.unit = std::string(unit);
-  p.metrics = std::move(metrics);
+  p.metrics = run.metrics;
   points_.push_back(std::move(p));
 }
 
@@ -680,8 +717,8 @@ std::string BenchResults::write(const std::string& dir) const {
   return path;
 }
 
-double measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
-                          int iters, int warmup) {
+RunReport measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
+                             int iters, int warmup) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
     return raw_emp_latency_us(msg_bytes, iters, warmup, /*dual_cpu=*/true);
   }
@@ -689,36 +726,36 @@ double measure_latency_us(const StackChoice& stack, std::size_t msg_bytes,
                            /*dual_cpu=*/true);
 }
 
-double measure_latency_us_nic(const StackChoice& stack,
-                              std::size_t msg_bytes, bool dual_cpu) {
+RunReport measure_latency_us_nic(const StackChoice& stack,
+                                 std::size_t msg_bytes, bool dual_cpu) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
     return raw_emp_latency_us(msg_bytes, 50, 5, dual_cpu);
   }
   return socket_latency_us(stack, msg_bytes, 50, 5, dual_cpu);
 }
 
-double measure_bandwidth_mbps(const StackChoice& stack,
-                              std::size_t msg_bytes,
-                              std::size_t total_bytes) {
+RunReport measure_bandwidth_mbps(const StackChoice& stack,
+                                 std::size_t msg_bytes,
+                                 std::size_t total_bytes) {
   return measure_bandwidth_mbps_nic(stack, msg_bytes, total_bytes, true);
 }
 
-double measure_bandwidth_mbps_nic(const StackChoice& stack,
-                                  std::size_t msg_bytes,
-                                  std::size_t total_bytes, bool dual_cpu) {
+RunReport measure_bandwidth_mbps_nic(const StackChoice& stack,
+                                     std::size_t msg_bytes,
+                                     std::size_t total_bytes, bool dual_cpu) {
   if (stack.kind() == StackChoice::Kind::kRawEmp) {
     return raw_emp_bandwidth_mbps(msg_bytes, total_bytes);
   }
   return socket_bandwidth_mbps(stack, msg_bytes, total_bytes, dual_cpu);
 }
 
-double measure_bandwidth_view_mbps(const StackChoice& stack,
-                                   std::size_t msg_bytes,
-                                   std::size_t total_bytes) {
+RunReport measure_bandwidth_view_mbps(const StackChoice& stack,
+                                      std::size_t msg_bytes,
+                                      std::size_t total_bytes) {
   return socket_bandwidth_view_mbps(stack, msg_bytes, total_bytes);
 }
 
-double measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
+RunReport measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2, stack.cfg());
   cl.node(0).host.fs().install("/srv/file.bin", payload(file_bytes));
@@ -739,18 +776,17 @@ double measure_ftp_mbps(const StackChoice& stack, std::size_t file_bytes) {
     mbps = xfer.mbps();
     co_await ftp.quit();
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  finish_run(eng);
-  return mbps;
+  return finish_run(eng, start, mbps);
 }
 
-double measure_web_response_us(const StackChoice& stack,
-                               std::uint32_t response_bytes,
-                               std::uint32_t requests_per_connection,
-                               std::size_t requests_per_client) {
+RunReport measure_web_response_us(const StackChoice& stack,
+                                  std::uint32_t response_bytes,
+                                  std::uint32_t requests_per_connection,
+                                  std::size_t requests_per_client) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 4, stack.cfg());
   sim::OnlineStats all;
@@ -776,74 +812,35 @@ double measure_web_response_us(const StackChoice& stack,
     co_await apps::web_client(proc, pick(cl, idx + 1, stack), opt,
                               per_client[idx]);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(server());
   for (std::size_t i = 0; i < 3; ++i) eng.spawn(client(i));
   eng.run();
-  finish_run(eng);
   for (const auto& st : per_client) {
     // Merge means weighted by count.
     for (std::size_t i = 0; i < st.count(); ++i) all.add(st.mean());
   }
-  return all.mean();
+  return finish_run(eng, start, all.mean());
 }
 
-double measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
-                              std::size_t shards, unsigned threads,
-                              std::size_t requests_per_client,
-                              bool scalar_lookahead) {
+RunReport measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
+                                 std::size_t shards, unsigned threads,
+                                 std::size_t requests_per_client,
+                                 bool scalar_lookahead) {
   ScaleWebOptions opt;
   opt.hosts = hosts;
   opt.shards = shards;
   opt.scalar_lookahead = scalar_lookahead;
-  // Never oversubscribe a perf measurement: more workers than cores turns
-  // the epoch spin-barrier into scheduler thrash.  The simulated result is
-  // thread-count invariant, so clamping only changes wall clock.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
+  opt.threads = sharded_threads(threads, shards);
   opt.requests_per_client = requests_per_client;
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  // No arm_run(): the tracer is per-engine and a sharded run has several,
-  // so trace exports stay a serial-run feature.
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
-  // Record what the sharded run actually used (post-clamp), so the JSON
-  // says whether this host could demonstrate parallel speedup at all;
-  // check_hostperf.py keys its speedup assertion off this.
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
-  return g_last_host_perf.events_per_sec;
+  return run_sharded(scale, stack, shards, opt.threads);
 }
 
-double measure_scale_web_hotspot_evps(const StackChoice& stack,
-                                       std::size_t shards, unsigned threads,
-                                       std::size_t hot_requests,
-                                       std::size_t cold_requests) {
+RunReport measure_scale_web_hotspot_evps(const StackChoice& stack,
+                                         std::size_t shards, unsigned threads,
+                                         std::size_t hot_requests,
+                                         std::size_t cold_requests) {
   ScaleWebOptions opt;
   opt.hosts = 16;
   opt.shards = shards;
@@ -852,92 +849,37 @@ double measure_scale_web_hotspot_evps(const StackChoice& stack,
   opt.per_client_requests.assign(opt.hosts - 1, cold_requests);
   opt.per_client_requests[0] = hot_requests;
   opt.per_client_requests[4] = hot_requests;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
+  opt.threads = sharded_threads(threads, shards);
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
+  RunReport run = run_sharded(scale, stack, shards, opt.threads);
   // Identical across shard counts (check_hostperf.py gates on it).  The
   // int64 cast keeps the uint64 bit pattern, so equality is preserved.
-  g_last_metrics["shard/causal_digest"] =
+  run.metrics["shard/causal_digest"] =
       static_cast<std::int64_t>(scale.group().causal_digest());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
-  return g_last_host_perf.events_per_sec;
+  return run;
 }
 
-double measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
-                                std::size_t connections_per_host,
-                                std::size_t shards, unsigned threads,
-                                std::size_t reap_batch) {
+RunReport measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
+                                   std::size_t connections_per_host,
+                                   std::size_t shards, unsigned threads,
+                                   std::size_t reap_batch) {
   ScaleC10kOptions opt;
   opt.ring_server = ring;
   opt.connections_per_host = connections_per_host;
   opt.shards = shards;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  opt.threads = std::min({static_cast<unsigned>(threads), hw,
-                          static_cast<unsigned>(shards)});
+  opt.threads = sharded_threads(threads, shards);
   opt.reap_batch = reap_batch;
   ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  g_run_t0 = std::chrono::steady_clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  const auto wall = std::chrono::steady_clock::now() - g_run_t0;
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count());
-  const std::uint64_t events = scale.group().events_executed();
-  g_last_host_perf.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  g_last_host_perf.events = events;
-  g_last_host_perf.events_per_sec =
-      wall_ns > 0
-          ? static_cast<double>(events) * 1e9 / static_cast<double>(wall_ns)
-          : 0.0;
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  g_last_metrics = merged_shard_metrics(scale.group());
-  record_events_per_shard(scale.group());
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < opt.threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, opt.threads,
-                                                   std::memory_order_relaxed)) {
-  }
+  RunReport run = run_sharded(scale, stack, shards, opt.threads);
   // The measured quantity: application requests served per wall second.
-  return wall_ns > 0 ? static_cast<double>(scale.requests_served()) * 1e9 /
-                           static_cast<double>(wall_ns)
-                     : 0.0;
+  run.value = run.perf.wall_ms > 0
+                  ? static_cast<double>(scale.requests_served()) * 1e3 /
+                        run.perf.wall_ms
+                  : 0.0;
+  return run;
 }
 
-double measure_matmul_ms(const StackChoice& stack, std::size_t n) {
+RunReport measure_matmul_ms(const StackChoice& stack, std::size_t n) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 4, stack.cfg());
   auto a = apps::make_matrix(n, 1);
@@ -956,15 +898,14 @@ double measure_matmul_ms(const StackChoice& stack, std::size_t n) {
     os::Process proc(cl.node(idx).host);
     co_await apps::matmul_worker(proc, pick(cl, idx, stack));
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   for (std::size_t i = 1; i <= 3; ++i) eng.spawn(worker(i));
   eng.spawn(master());
   eng.run();
-  finish_run(eng);
-  return ms;
+  return finish_run(eng, start, ms);
 }
 
-double measure_latency_with_extra_descriptors_us(
+RunReport measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2);
@@ -1007,12 +948,11 @@ double measure_latency_with_extra_descriptors_us(
     }
     one_way_us = sim::to_us(eng.now() - t0) / (2.0 * kIters);
   };
-  arm_run(eng);
+  const auto start = arm_run(eng);
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  finish_run(eng);
-  return one_way_us;
+  return finish_run(eng, start, one_way_us);
 }
 
 std::string size_label(std::size_t bytes) {

@@ -6,11 +6,12 @@
 // is receiver-side goodput over the transfer window.
 //
 // Observability: each run's engine carries the obs metrics registry and
-// timeline tracer.  After any measure_* call, last_run_metrics() holds that
-// run's full registry snapshot; BenchResults attaches it to every recorded
-// point and writes the schema-versioned BENCH_<figure>.json that
-// scripts/validate_bench_json.py checks.  set_trace_export() arms a Chrome
-// trace_event export of the next run (see DESIGN.md §8).
+// timeline tracer.  Every measure_* call returns a RunReport — the measured
+// value, that run's full registry snapshot and its host cost — and
+// BenchResults::add() records it into the schema-versioned
+// BENCH_<figure>.json that scripts/validate_bench_json.py checks.
+// set_trace_export() arms a Chrome trace_event export of the next run (see
+// DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -69,11 +70,6 @@ class StackChoice {
   std::string label_;
 };
 
-/// Registry snapshot of the most recent measure_* run on this thread
-/// (path -> value; see obs/metrics.hpp for the "h<N>/<layer>/<name>" path
-/// scheme).  Thread-local so run_points() workers don't race.
-[[nodiscard]] const std::map<std::string, std::int64_t>& last_run_metrics();
-
 /// Host-side (wall-clock) cost of a simulator run: how fast the simulator
 /// itself executes, as opposed to the simulated result it produces.
 struct HostPerf {
@@ -82,33 +78,32 @@ struct HostPerf {
   double events_per_sec = 0;
 };
 
-/// HostPerf of the most recent measure_* run on this thread.
-[[nodiscard]] const HostPerf& last_run_host_perf();
-
-/// One completed measurement job: the measured value plus the metrics and
-/// host-perf snapshots of the run that produced it.
-struct MeasuredPoint {
+/// What one measure_* run reports: the measured value, the run's full
+/// registry snapshot (path -> value; see obs/metrics.hpp for the
+/// "h<N>/<layer>/<name>" path scheme) and its host cost.
+struct RunReport {
   double value = 0;
   std::map<std::string, std::int64_t> metrics;
   HostPerf perf;
 };
 
 /// Run independent measurement jobs — each a closure over one measure_*
-/// call — and return their results in job order.  With `threads` > 1 the
+/// call — and return their reports in job order.  With `threads` > 1 the
 /// jobs run on a thread pool (each job builds its own Engine, so runs are
 /// fully isolated and the simulated results are identical to a serial
 /// sweep; only wall-clock changes).  Falls back to serial when `threads`
 /// <= 1 or a trace export is armed (the trace must capture exactly one
-/// run).  A job that throws rethrows from run_points after all jobs
-/// complete.
-[[nodiscard]] std::vector<MeasuredPoint> run_points(
-    std::vector<std::function<double()>> jobs, unsigned threads);
+/// run).  A job that throws rethrows from run_points after every other
+/// job has finished, serial or not.
+[[nodiscard]] std::vector<RunReport> run_points(
+    std::vector<std::function<RunReport()>> jobs, unsigned threads);
 
 /// Arm a timeline export: the next measure_* run executes with the tracer
 /// enabled and writes Chrome trace_event JSON to `path` when it finishes.
 void set_trace_export(std::string path);
 
-/// Options every bench main understands:
+/// Options every bench main understands (N is a non-negative decimal
+/// integer; anything else exits with status 2):
 ///   --iters N    latency iterations per point (smoke runs use small N)
 ///   --trace F    export a Chrome trace of the first run to F
 ///   --out DIR    directory for BENCH_<figure>.json (default ".")
@@ -131,8 +126,9 @@ struct BenchOptions {
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
-/// Machine-readable bench results.  add() records one measured point along
-/// with the metrics snapshot of the run that produced it; write() emits
+/// Machine-readable bench results.  add() records one measured point from
+/// the RunReport that produced it (value and metrics snapshot); write()
+/// emits
 ///
 ///   {
 ///     "schema": "ulsocks.bench.v1",
@@ -147,30 +143,20 @@ struct BenchOptions {
 /// host_perf aggregates every run of the process so far: total events,
 /// summed per-run wall time (across pool threads when parallel), and peak
 /// RSS — the "how fast is the simulator itself" record that
-/// scripts/check_hostperf.py gates on.
-///
-/// as BENCH_<figure>.json so plots and regression checks never scrape the
-/// human tables.
+/// scripts/check_hostperf.py gates on.  Plots and regression checks read
+/// this file and never scrape the human tables.
 class BenchResults {
  public:
   BenchResults(std::string figure, std::string title);
 
-  /// Record the point for the measure_* call that just returned `value`.
+  /// Record `run` as a point of `series` over `stack`.
   void add(std::string_view series, const StackChoice& stack,
-           std::string_view x, double value, std::string_view unit);
-  /// Record a run_points() result (carries its own metrics snapshot).
-  void add(std::string_view series, const StackChoice& stack,
-           std::string_view x, double value, std::string_view unit,
-           std::map<std::string, std::int64_t> metrics);
-  /// Record a point that has no StackChoice (raw-parameter ablations).
+           std::string_view x, const RunReport& run, std::string_view unit);
+  /// Record a point that has no StackChoice (raw-parameter ablations and
+  /// benches that drive their own Engine).
   void add(std::string_view series, std::string_view stack_name,
-           std::string_view config_label, std::string_view x, double value,
-           std::string_view unit);
-  /// Record a point with an explicit metrics snapshot (benches that drive
-  /// their own Engine instead of the measure_* routines).
-  void add(std::string_view series, std::string_view stack_name,
-           std::string_view config_label, std::string_view x, double value,
-           std::string_view unit, std::map<std::string, std::int64_t> metrics);
+           std::string_view config_label, std::string_view x,
+           const RunReport& run, std::string_view unit);
 
   /// Write BENCH_<figure>.json into `dir`; returns the path written, or
   /// empty on I/O failure (also printed to stderr).
@@ -191,77 +177,80 @@ class BenchResults {
   std::vector<Point> points_;
 };
 
+// Each measure_* below returns its run's RunReport; `value` is the
+// quantity its comment names.
+
 /// One-way latency (us) for `msg_bytes` messages, averaged over `iters`
 /// ping-pong rounds after `warmup` rounds.
-[[nodiscard]] double measure_latency_us(const StackChoice& stack,
-                                        std::size_t msg_bytes,
-                                        int iters = 50, int warmup = 5);
+[[nodiscard]] RunReport measure_latency_us(const StackChoice& stack,
+                                           std::size_t msg_bytes,
+                                           int iters = 50, int warmup = 5);
 
 /// Unidirectional goodput (Mb/s) sending `total_bytes` in `msg_bytes`
 /// application writes.
-[[nodiscard]] double measure_bandwidth_mbps(const StackChoice& stack,
-                                            std::size_t msg_bytes,
-                                            std::size_t total_bytes);
+[[nodiscard]] RunReport measure_bandwidth_mbps(const StackChoice& stack,
+                                               std::size_t msg_bytes,
+                                               std::size_t total_bytes);
 
 /// Same workload, but the receiver drains with read_view() instead of
 /// read(): the zero-copy receive API (sliced stacks lend their buffers;
 /// others fall back to one copy into the view's scratch).
-[[nodiscard]] double measure_bandwidth_view_mbps(const StackChoice& stack,
-                                                 std::size_t msg_bytes,
-                                                 std::size_t total_bytes);
+[[nodiscard]] RunReport measure_bandwidth_view_mbps(const StackChoice& stack,
+                                                    std::size_t msg_bytes,
+                                                    std::size_t total_bytes);
 
 /// ftp RETR throughput (Mb/s) for a file of `file_bytes` on a RAM disk.
-[[nodiscard]] double measure_ftp_mbps(const StackChoice& stack,
-                                      std::size_t file_bytes);
+[[nodiscard]] RunReport measure_ftp_mbps(const StackChoice& stack,
+                                         std::size_t file_bytes);
 
 /// Web-server mean response time (us): 1 server + 3 clients, 16-byte
 /// requests, `response_bytes` replies, `requests_per_connection` per
 /// connection (1 = HTTP/1.0, 8 = HTTP/1.1).
-[[nodiscard]] double measure_web_response_us(
+[[nodiscard]] RunReport measure_web_response_us(
     const StackChoice& stack, std::uint32_t response_bytes,
     std::uint32_t requests_per_connection, std::size_t requests_per_client);
 
 /// Distributed matmul wall time (ms) for an n x n problem on 4 nodes.
-[[nodiscard]] double measure_matmul_ms(const StackChoice& stack,
-                                       std::size_t n);
+[[nodiscard]] RunReport measure_matmul_ms(const StackChoice& stack,
+                                          std::size_t n);
 
 /// Latency with `extra_descriptors` unrelated descriptors pre-posted ahead
 /// of the measurement channel (tag-matching walk-cost ablation).
-[[nodiscard]] double measure_latency_with_extra_descriptors_us(
+[[nodiscard]] RunReport measure_latency_with_extra_descriptors_us(
     std::size_t extra_descriptors, std::size_t msg_bytes = 4);
 
 /// Latency / bandwidth with a single-CPU NIC (ablation of the Tigon2's
 /// dual-core design).
-[[nodiscard]] double measure_latency_us_nic(const StackChoice& stack,
-                                            std::size_t msg_bytes,
-                                            bool dual_cpu);
-[[nodiscard]] double measure_bandwidth_mbps_nic(const StackChoice& stack,
-                                                std::size_t msg_bytes,
-                                                std::size_t total_bytes,
-                                                bool dual_cpu);
+[[nodiscard]] RunReport measure_latency_us_nic(const StackChoice& stack,
+                                               std::size_t msg_bytes,
+                                               bool dual_cpu);
+[[nodiscard]] RunReport measure_bandwidth_mbps_nic(const StackChoice& stack,
+                                                   std::size_t msg_bytes,
+                                                   std::size_t total_bytes,
+                                                   bool dual_cpu);
 
 /// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
 /// 1 server + (hosts-1) clients on a star, partitioned over `shards`
 /// engines run by `threads` workers.  The simulated result is shard-count
-/// invariant; the returned wall-clock throughput is what scales.
-/// last_run_metrics() afterwards holds the merged cross-shard snapshot and
-/// last_run_host_perf() the aggregate event count.
+/// invariant; the wall-clock throughput is what scales.  The report's
+/// metrics are the merged cross-shard snapshot and its perf.events the
+/// aggregate event count.
 /// `scalar_lookahead` pins the group to the PR5-era scalar epoch bound —
 /// the A/B baseline for the lookahead-matrix epoch-count comparison.
-[[nodiscard]] double measure_scale_web_evps(const StackChoice& stack,
-                                            std::size_t hosts,
-                                            std::size_t shards,
-                                            unsigned threads,
-                                            std::size_t requests_per_client,
-                                            bool scalar_lookahead = false);
+[[nodiscard]] RunReport measure_scale_web_evps(const StackChoice& stack,
+                                               std::size_t hosts,
+                                               std::size_t shards,
+                                               unsigned threads,
+                                               std::size_t requests_per_client,
+                                               bool scalar_lookahead = false);
 
 /// Host events/sec of the skewed ("hotspot") 16-host web workload: two
 /// hosts carry ~80% of the request traffic, so the static (i + 1) % shards
-/// placement leaves one shard much hotter than the rest.  After the call
-/// last_run_metrics() additionally carries "shard/causal_digest" (bit-cast
-/// to int64) — identical across shard counts — next to the group's
-/// shard/epochs and shard/imbalance gauges.
-[[nodiscard]] double measure_scale_web_hotspot_evps(
+/// placement leaves one shard much hotter than the rest.  The report's
+/// metrics additionally carry "shard/causal_digest" (bit-cast to int64) —
+/// identical across shard counts — next to the group's shard/epochs and
+/// shard/imbalance gauges.
+[[nodiscard]] RunReport measure_scale_web_hotspot_evps(
     const StackChoice& stack, std::size_t shards, unsigned threads,
     std::size_t hot_requests, std::size_t cold_requests);
 
@@ -272,14 +261,11 @@ class BenchResults {
 /// quantity: the ring server exists to do the same application work with
 /// FEWER engine events (one parked pump instead of a per-connection
 /// thundering herd), so comparing evps would reward the wasteful server.
-/// last_run_metrics() afterwards carries the merged snapshot including the
+/// The report's metrics are the merged snapshot including the
 /// ring/batch_size, ring/reap_wait_ns and ring/sqe_inflight instruments.
-[[nodiscard]] double measure_scale_c10k_reqps(const StackChoice& stack,
-                                              bool ring,
-                                              std::size_t connections_per_host,
-                                              std::size_t shards = 1,
-                                              unsigned threads = 1,
-                                              std::size_t reap_batch = 64);
+[[nodiscard]] RunReport measure_scale_c10k_reqps(
+    const StackChoice& stack, bool ring, std::size_t connections_per_host,
+    std::size_t shards = 1, unsigned threads = 1, std::size_t reap_batch = 64);
 
 /// Pretty size label ("4", "1K", "64K").
 [[nodiscard]] std::string size_label(std::size_t bytes);

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,12 +25,12 @@
 
 namespace {
 
-using ulsocks::bench::HostPerf;
+using ulsocks::bench::RunReport;
 
 /// Pure event-queue churn: four self-rescheduling chains of empty events,
-/// no protocol work at all.  Measures the engine's ceiling.
-HostPerf engine_churn(std::uint64_t total_events,
-                      std::map<std::string, std::int64_t>& metrics) {
+/// no protocol work at all.  Measures the engine's ceiling; the report's
+/// value is its host events/sec.
+RunReport engine_churn(std::uint64_t total_events) {
   ulsocks::sim::Engine eng;
   // No protocol stack runs here, so no host copies happen; register the
   // counter anyway so every bench point carries host/bytes_copied.
@@ -53,13 +52,15 @@ HostPerf engine_churn(std::uint64_t total_events,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  HostPerf p;
-  p.wall_ms = wall_ns / 1e6;
-  p.events = eng.events_executed();
-  p.events_per_sec =
-      wall_ns > 0 ? static_cast<double>(p.events) * 1e9 / wall_ns : 0.0;
-  metrics = eng.metrics().snapshot();
-  return p;
+  RunReport run;
+  run.perf.wall_ms = wall_ns / 1e6;
+  run.perf.events = eng.events_executed();
+  run.perf.events_per_sec =
+      wall_ns > 0 ? static_cast<double>(run.perf.events) * 1e9 / wall_ns
+                  : 0.0;
+  run.value = run.perf.events_per_sec;
+  run.metrics = eng.metrics().snapshot();
+  return run;
 }
 
 }  // namespace
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
     const char* name;
     const StackChoice* stack;
     const char* x;
-    std::function<double()> job;
+    std::function<RunReport()> job;
     const char* unit = "evps";
   };
   const std::vector<Scenario> scenarios = {
@@ -180,48 +181,36 @@ int main(int argc, char** argv) {
   };
 
   sim::ResultTable table({"scenario", "stack", "Mev/s", "wall_ms"});
-  for (const auto& sc : scenarios) {
-    HostPerf best{};
-    std::map<std::string, std::int64_t> best_metrics;
-    // evps scenarios record the run's host events/sec; other units (the
-    // C10K reqps points) record the job's own return value.  Best-of-N
-    // picks by the recorded quantity either way.
-    const bool evps = std::string_view(sc.unit) == "evps";
-    double best_value = -1.0;
+  // Best-of-N by the recorded value: evps scenarios record the run's host
+  // events/sec; other units (the C10K reqps points) the job's own value.
+  auto best_of = [reps](const std::function<RunReport()>& job, bool evps) {
+    RunReport best;
+    best.value = -1.0;
     for (int r = 0; r < reps; ++r) {
-      const double ret = sc.job();
-      const HostPerf& p = last_run_host_perf();
-      const double value = evps ? p.events_per_sec : ret;
-      if (value > best_value) {
-        best_value = value;
-        best = p;
-        best_metrics = last_run_metrics();
-      }
+      RunReport run = job();
+      if (evps) run.value = run.perf.events_per_sec;
+      if (run.value > best.value) best = std::move(run);
     }
+    return best;
+  };
+  for (const auto& sc : scenarios) {
+    const RunReport best =
+        best_of(sc.job, std::string_view(sc.unit) == "evps");
     results.add(sc.name, sc.stack->name(), sc.stack->config_label(), sc.x,
-                best_value, sc.unit, best_metrics);
+                best, sc.unit);
     table.add_row({sc.name, sc.stack->name(),
-                   sim::ResultTable::num(best.events_per_sec / 1e6, 2),
-                   sim::ResultTable::num(best.wall_ms, 1)});
+                   sim::ResultTable::num(best.perf.events_per_sec / 1e6, 2),
+                   sim::ResultTable::num(best.perf.wall_ms, 1)});
   }
 
   {
     const std::uint64_t n = smoke ? 200'000 : 2'000'000;
-    HostPerf best{};
-    std::map<std::string, std::int64_t> best_metrics;
-    for (int r = 0; r < reps; ++r) {
-      std::map<std::string, std::int64_t> metrics;
-      HostPerf p = engine_churn(n, metrics);
-      if (p.events_per_sec > best.events_per_sec) {
-        best = p;
-        best_metrics = std::move(metrics);
-      }
-    }
-    results.add("engine_churn", "sim", "engine", "empty_events",
-                best.events_per_sec, "evps", std::move(best_metrics));
+    const RunReport best = best_of([n] { return engine_churn(n); }, true);
+    results.add("engine_churn", "sim", "engine", "empty_events", best,
+                "evps");
     table.add_row({"engine_churn", "sim",
-                   sim::ResultTable::num(best.events_per_sec / 1e6, 2),
-                   sim::ResultTable::num(best.wall_ms, 1)});
+                   sim::ResultTable::num(best.perf.events_per_sec / 1e6, 2),
+                   sim::ResultTable::num(best.perf.wall_ms, 1)});
   }
 
   table.print();

@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
 # Pre-merge gate for ulsocks (see DESIGN.md "Correctness tooling"):
 #   1. Debug build with AddressSanitizer + UndefinedBehaviorSanitizer,
-#      full ctest suite (protocol invariant checkers are always on).
+#      full ctest suite (protocol invariant checkers are always on).  The
+#      suite includes bench.smoke.<name> for every bench binary: a short
+#      run whose BENCH_*.json must pass scripts/validate_bench_json.py.
 #   2. clang-tidy over src/ with the repo's .clang-tidy profile.
 #   3. ulsan, the repo-specific static-analysis suite (python3 -m ulsan
 #      src): determinism, shard affinity, coroutine lifetime, layering,
 #      wire hygiene.  Fails on new findings, unused suppressions or a
 #      stale baseline (DESIGN.md §12).
-#   4. Bench smoke: a short fig11_latency run must emit a BENCH_*.json
-#      that passes scripts/validate_bench_json.py.
-#   5. ThreadSanitizer build running the sharded determinism tests with
+#   4. ThreadSanitizer build running the sharded determinism tests with
 #      4 shards on 4 worker threads (the parallel engine's race surface).
-#   6. Benchmark simulated outputs: perfbench/run.py runs every workload
+#   5. Benchmark simulated outputs: perfbench/run.py runs every workload
 #      once, traced, at seed 7 and fails on any mismatch against
 #      perfbench/reference.json (digests, event and probe counts,
 #      simulated metrics).  A correctness check, not a timing gate.
-#   7. Host-perf gate: a Release build runs bench/hostperf and
+#   6. Host-perf gate: a Release build runs bench/hostperf and
 #      scripts/check_hostperf.py fails the gate if events/sec dropped
 #      more than 25% below bench/baselines/BENCH_hostperf.json.
 #
@@ -24,7 +24,7 @@
 #   --require-tools  a missing optional tool (clang-tidy) is a hard
 #                    failure instead of a skip-with-warning.  Defaults ON
 #                    when $CI is set, so CI never silently loses a stage.
-#   --no-hostperf    skip stage 7 (host-perf is meaningless on shared or
+#   --no-hostperf    skip stage 6 (host-perf is meaningless on shared or
 #                    throttled runners; CI uses this).
 set -euo pipefail
 
@@ -43,7 +43,7 @@ for arg in "$@"; do
   esac
 done
 JOBS="$(nproc 2>/dev/null || echo 4)"
-TOTAL=7
+TOTAL=6
 
 echo "==> [1/$TOTAL] Debug + ASan/UBSan build and test"
 cmake -B "$BUILD_DIR" -S . \
@@ -76,13 +76,7 @@ fi
 echo "==> [3/$TOTAL] ulsan static-analysis suite"
 PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}" python3 -m ulsan src
 
-echo "==> [4/$TOTAL] bench smoke + results-schema validation"
-SMOKE_DIR="$BUILD_DIR/bench-smoke"
-mkdir -p "$SMOKE_DIR"
-"$BUILD_DIR/bench/fig11_latency" --iters 3 --out "$SMOKE_DIR" >/dev/null
-python3 scripts/validate_bench_json.py "$SMOKE_DIR"/BENCH_*.json
-
-echo "==> [5/$TOTAL] ThreadSanitizer: sharded determinism tests with real threads"
+echo "==> [4/$TOTAL] ThreadSanitizer: sharded determinism tests with real threads"
 # The sharded engine's only cross-thread surface is the epoch barrier and
 # the mailboxes; the Sharding.* tests run 4-shard groups on 4 worker
 # threads, which is exactly the surface TSan needs to see.  TSan excludes
@@ -95,7 +89,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target determinism_test
 TSAN_OPTIONS=halt_on_error=1 \
   "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
 
-echo "==> [6/$TOTAL] benchmark simulated outputs vs perfbench/reference.json"
+echo "==> [5/$TOTAL] benchmark simulated outputs vs perfbench/reference.json"
 # run.py exits 1 on any reference mismatch; --seconds 1 keeps it short.
 for workload in stream_64k c10k_ring web16_sharded; do
   python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
@@ -103,7 +97,7 @@ for workload in stream_64k c10k_ring web16_sharded; do
 done
 
 if [ -n "$RUN_HOSTPERF" ]; then
-  echo "==> [7/$TOTAL] host-perf gate (Release build, full hostperf bench)"
+  echo "==> [6/$TOTAL] host-perf gate (Release build, full hostperf bench)"
   # Sanitizer builds measure the sanitizer, not the simulator: the host-perf
   # numbers only mean something at -O2/-O3 without instrumentation.
   PERF_DIR="$BUILD_DIR-release"
@@ -115,7 +109,7 @@ if [ -n "$RUN_HOSTPERF" ]; then
   python3 scripts/validate_bench_json.py "$HOSTPERF_DIR/BENCH_hostperf.json"
   python3 scripts/check_hostperf.py "$HOSTPERF_DIR/BENCH_hostperf.json"
 else
-  echo "==> [7/$TOTAL] host-perf gate skipped (--no-hostperf)"
+  echo "==> [6/$TOTAL] host-perf gate skipped (--no-hostperf)"
 fi
 
 echo "==> all checks passed"

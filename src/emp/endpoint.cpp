@@ -69,31 +69,6 @@ EmpEndpoint::EmpEndpoint(sim::Engine& eng, const sim::CostModel& model,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
 
-EmpStats EmpEndpoint::stats() const noexcept {
-  EmpStats s;
-  s.sends_posted = ctr_.sends_posted.value();
-  s.recvs_posted = ctr_.recvs_posted.value();
-  s.data_frames_tx = ctr_.data_frames_tx.value();
-  s.data_frames_rx = ctr_.data_frames_rx.value();
-  s.acks_tx = ctr_.acks_tx.value();
-  s.acks_rx = ctr_.acks_rx.value();
-  s.nacks_tx = ctr_.nacks_tx.value();
-  s.retransmitted_frames = ctr_.retransmitted_frames.value();
-  s.unmatched_drops = ctr_.unmatched_drops.value();
-  s.too_small_drops = ctr_.too_small_drops.value();
-  s.duplicate_frames = ctr_.duplicate_frames.value();
-  s.stale_frames = ctr_.stale_frames.value();
-  s.reacks = ctr_.reacks.value();
-  s.malformed_frames = ctr_.malformed_frames.value();
-  s.misrouted_frames = ctr_.misrouted_frames.value();
-  s.unexpected_claims = ctr_.unexpected_claims.value();
-  s.unexpected_evictions = ctr_.unexpected_evictions.value();
-  s.descriptors_walked = ctr_.descriptors_walked.value();
-  s.pin_hits = ctr_.pin_hits.value();
-  s.pin_misses = ctr_.pin_misses.value();
-  return s;
-}
-
 void EmpEndpoint::check_invariants() const {
   check_all_sends();
   check_all_bindings();

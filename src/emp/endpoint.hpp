@@ -177,32 +177,6 @@ struct RecvState {
 };
 using RecvHandle = std::shared_ptr<RecvState>;
 
-/// Thin read-out view over the registry counters under "h<N>/emp/" (the
-/// registry, reachable via Engine::metrics(), is the canonical store; this
-/// struct exists for ergonomic field access in tests and reports).
-struct EmpStats {
-  std::uint64_t sends_posted = 0;
-  std::uint64_t recvs_posted = 0;
-  std::uint64_t data_frames_tx = 0;
-  std::uint64_t data_frames_rx = 0;
-  std::uint64_t acks_tx = 0;
-  std::uint64_t acks_rx = 0;
-  std::uint64_t nacks_tx = 0;
-  std::uint64_t retransmitted_frames = 0;
-  std::uint64_t unmatched_drops = 0;
-  std::uint64_t too_small_drops = 0;
-  std::uint64_t duplicate_frames = 0;
-  std::uint64_t stale_frames = 0;
-  std::uint64_t reacks = 0;
-  std::uint64_t malformed_frames = 0;
-  std::uint64_t misrouted_frames = 0;
-  std::uint64_t unexpected_claims = 0;
-  std::uint64_t unexpected_evictions = 0;
-  std::uint64_t descriptors_walked = 0;
-  std::uint64_t pin_hits = 0;
-  std::uint64_t pin_misses = 0;
-};
-
 class EmpEndpoint {
  public:
   /// `resolve` maps EMP node ids to MAC addresses (the cluster's routing
@@ -217,8 +191,6 @@ class EmpEndpoint {
 
   [[nodiscard]] NodeId node_id() const noexcept { return self_; }
   [[nodiscard]] const EmpConfig& config() const noexcept { return config_; }
-  /// Materialize the typed stats view from the registry counters.
-  [[nodiscard]] EmpStats stats() const noexcept;
 
   // ---- Host-side operations (coroutines charging host CPU time) ----
 
@@ -334,7 +306,7 @@ class EmpEndpoint {
   void check_invariants() const;
 
  private:
-  /// Registry-backed counters/histograms (EmpStats mirrors the counters).
+  /// Registry-backed counters/histograms ("h<N>/emp/<name>").
   /// References are stable: the registry owns the instruments.
   struct Instruments {
     obs::Counter& sends_posted;

@@ -10,8 +10,8 @@
 // across runs for determinism (paths are sorted, values are integers — two
 // identical seeded runs must produce byte-identical snapshots).
 //
-// The legacy typed stats structs (SubstrateStats, EmpStats, TcpStats) are
-// thin views materialized from these counters; the registry is canonical.
+// There is no other read-out: tests and reports read a layer's counters
+// by path, e.g. `eng.metrics().snapshot().at("h0/emp/data_frames_tx")`.
 #pragma once
 
 #include <cstdint>

@@ -76,19 +76,6 @@ EmpSocketStack::EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
   ep_.set_completion_hook([this] { activity_.notify_all(); });
 }
 
-SubstrateStats EmpSocketStack::stats() const noexcept {
-  SubstrateStats s;
-  s.connections_accepted = ctr_.connections_accepted.value();
-  s.connections_initiated = ctr_.connections_initiated.value();
-  s.eager_messages_tx = ctr_.eager_messages_tx.value();
-  s.rendezvous_messages_tx = ctr_.rendezvous_messages_tx.value();
-  s.credit_acks_tx = ctr_.credit_acks_tx.value();
-  s.credits_piggybacked = ctr_.credits_piggybacked.value();
-  s.truncated_datagrams = ctr_.truncated_datagrams.value();
-  s.closes_tx = ctr_.closes_tx.value();
-  return s;
-}
-
 void EmpSocketStack::check_invariants() const {
   // Order-insensitive sweep: per-socket asserts only, nothing mutated or
   // scheduled, so hash order cannot leak into simulated state.

@@ -38,20 +38,6 @@
 
 namespace ulsocks::sockets {
 
-/// Typed view over the "h<N>/sockets/*" registry counters (obs/metrics.hpp).
-/// The registry is the canonical store; stats() materializes this struct so
-/// existing call sites keep compiling unchanged.
-struct SubstrateStats {
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_initiated = 0;
-  std::uint64_t eager_messages_tx = 0;
-  std::uint64_t rendezvous_messages_tx = 0;
-  std::uint64_t credit_acks_tx = 0;
-  std::uint64_t credits_piggybacked = 0;
-  std::uint64_t truncated_datagrams = 0;
-  std::uint64_t closes_tx = 0;
-};
-
 class EmpSocketStack final : public os::SocketApi {
  public:
   EmpSocketStack(sim::Engine& eng, const sim::CostModel& model,
@@ -85,8 +71,6 @@ class EmpSocketStack final : public os::SocketApi {
       int sd, std::size_t max, std::vector<int>& out,
       std::vector<os::SockAddr>* peers = nullptr) override;
 
-  /// Materialize the typed stats view from the registry counters.
-  [[nodiscard]] SubstrateStats stats() const noexcept;
   /// Active-socket-table size (§5.3); sockets leave the table only when
   /// both sides have closed and every descriptor has been reclaimed.
   [[nodiscard]] std::size_t active_socket_count() const {

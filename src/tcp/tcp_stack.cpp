@@ -46,19 +46,6 @@ TcpStack::TcpStack(sim::Engine& eng, const sim::CostModel& model,
                       [this](net::FramePtr f) { on_frame(std::move(f)); });
 }
 
-TcpStats TcpStack::stats() const noexcept {
-  TcpStats s;
-  s.segments_tx = ctr_.segments_tx.value();
-  s.segments_rx = ctr_.segments_rx.value();
-  s.bytes_tx = ctr_.bytes_tx.value();
-  s.retransmits = ctr_.retransmits.value();
-  s.pure_acks_tx = ctr_.pure_acks_tx.value();
-  s.interrupts = ctr_.interrupts.value();
-  s.rst_tx = ctr_.rst_tx.value();
-  s.window_probes = ctr_.window_probes.value();
-  return s;
-}
-
 TcpStack::ConnPtr& TcpStack::conn(int sd) {
   auto it = conns_by_sd_.find(sd);
   if (it == conns_by_sd_.end()) {

@@ -103,6 +103,12 @@ class EmpPair : public ::testing::Test {
     return v;
   }
 
+  /// Registry counter under "h<N>/emp/"; throws on a mistyped name.
+  std::int64_t metric(int node, const std::string& name) const {
+    return eng_.metrics().snapshot().at("h" + std::to_string(node) + "/emp/" +
+                                        name);
+  }
+
   EmpConfig config_{};
   Engine eng_;
   sim::CostModel model_;
@@ -157,7 +163,7 @@ TEST_F(EmpPair, MultiFrameMessageReassembled) {
   eng_.run();
   EXPECT_EQ(rxbuf, data);
   // 10000 bytes / 1480 per frame = 7 frames.
-  EXPECT_EQ(ep_[0]->stats().data_frames_tx, 7u);
+  EXPECT_EQ(metric(0, "data_frames_tx"), 7);
 }
 
 TEST_F(EmpPair, ZeroByteMessage) {
@@ -249,8 +255,8 @@ TEST_F(EmpPair, UnmatchedMessageIsDroppedThenRetransmitted) {
 
   EXPECT_TRUE(received);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
-  EXPECT_GE(ep_[1]->stats().unmatched_drops, 1u);
-  EXPECT_GE(ep_[0]->stats().retransmitted_frames, 1u);
+  EXPECT_GE(metric(1, "unmatched_drops"), 1);
+  EXPECT_GE(metric(0, "retransmitted_frames"), 1);
 }
 
 TEST_F(EmpPair, SendFailsAfterMaxRetries) {
@@ -361,10 +367,10 @@ TEST_F(EmpPair, UnexpectedQueueCatchesEarlyMessage) {
   eng_.run();
 
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
-  EXPECT_GE(ep_[1]->stats().unexpected_claims, 1u);
-  EXPECT_EQ(ep_[1]->stats().unmatched_drops, 0u);
+  EXPECT_GE(metric(1, "unexpected_claims"), 1);
+  EXPECT_EQ(metric(1, "unmatched_drops"), 0);
   // No retransmissions needed: the unexpected queue absorbed the message.
-  EXPECT_EQ(ep_[0]->stats().retransmitted_frames, 0u);
+  EXPECT_EQ(metric(0, "retransmitted_frames"), 0);
   // The entry returned to the pool after delivery.
   EXPECT_EQ(ep_[1]->unexpected_free_count(), 4u);
 }
@@ -477,8 +483,9 @@ TEST_F(EmpPair, UnexpectedMessagesFillFirstEligibleDescriptorInPostOrder) {
   }
   EXPECT_EQ(ep_[1]->unexpected_ready_count(), 0u);
   EXPECT_EQ(ep_[1]->posted_descriptor_count(), 1u);
-  EXPECT_EQ(ep_[1]->stats().unexpected_claims, msgs.size());
-  EXPECT_EQ(ep_[1]->stats().unmatched_drops, 0u);
+  EXPECT_EQ(metric(1, "unexpected_claims"),
+            static_cast<std::int64_t>(msgs.size()));
+  EXPECT_EQ(metric(1, "unmatched_drops"), 0);
 }
 
 TEST_F(EmpPair, UnexpectedMessageCompletingLateTakesFirstEligibleDescriptor) {
@@ -510,7 +517,7 @@ TEST_F(EmpPair, UnexpectedMessageCompletingLateTakesFirstEligibleDescriptor) {
   eng_.spawn(receiver());
   eng_.run();
 
-  EXPECT_EQ(ep_[1]->stats().unexpected_claims, 1u);
+  EXPECT_EQ(metric(1, "unexpected_claims"), 1);
   EXPECT_FALSE(ep_[1]->test_recv(h_small));
   ASSERT_TRUE(ep_[1]->test_recv(h_wildcard));
   EXPECT_FALSE(ep_[1]->test_recv(h_exact));
@@ -563,8 +570,8 @@ TEST_F(EmpPair, TranslationCacheAvoidsRepinning) {
   };
   eng_.spawn(proc());
   eng_.run();
-  EXPECT_EQ(ep_[1]->stats().pin_misses, 1u);
-  EXPECT_EQ(ep_[1]->stats().pin_hits, 9u);
+  EXPECT_EQ(metric(1, "pin_misses"), 1);
+  EXPECT_EQ(metric(1, "pin_hits"), 9);
 }
 
 TEST_F(EmpPair, AcksFollowWindow) {
@@ -583,8 +590,8 @@ TEST_F(EmpPair, AcksFollowWindow) {
   eng_.spawn(receiver());
   eng_.spawn(sender());
   eng_.run();
-  EXPECT_EQ(ep_[1]->stats().acks_tx, 3u);
-  EXPECT_EQ(ep_[0]->stats().acks_rx, 3u);
+  EXPECT_EQ(metric(1, "acks_tx"), 3);
+  EXPECT_EQ(metric(0, "acks_rx"), 3);
 }
 
 TEST_F(EmpPair, LatencyIsCloseToPaperEmpBaseline) {

@@ -1,6 +1,6 @@
 // Tests for the unified observability layer: metrics registry math,
-// snapshot determinism, stats structs as thin views over the registry, and
-// the timeline tracer's cross-layer span export.
+// snapshot determinism, per-layer counters read by path, and the timeline
+// tracer's cross-layer span export.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -169,7 +169,7 @@ TEST(Snapshot, CoversEveryLayerOnBothHosts) {
   EXPECT_GT(snap.at("h1/emp/desc_queue_depth/count"), 0);
 }
 
-TEST(StatsViews, AgreeWithRegistryAfterPingPong) {
+TEST(Registry, SubstratePingPongCountsEveryLayer) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2,
              sockets::preset("ds_da_uq").cfg);
@@ -203,32 +203,14 @@ TEST(StatsViews, AgreeWithRegistryAfterPingPong) {
   eng.spawn(client());
   eng.run();
 
-  auto snap = eng.metrics().snapshot();
-  const auto as_u64 = [&](const char* path) {
-    return static_cast<std::uint64_t>(snap.at(path));
-  };
-
-  sockets::SubstrateStats ss = cl.node(0).socks.stats();
-  EXPECT_EQ(ss.connections_initiated,
-            as_u64("h0/sockets/connections_initiated"));
-  EXPECT_EQ(ss.eager_messages_tx, as_u64("h0/sockets/eager_messages_tx"));
-  EXPECT_EQ(ss.closes_tx, as_u64("h0/sockets/closes_tx"));
-  EXPECT_GT(ss.eager_messages_tx, 0u);
-
-  sockets::SubstrateStats srv = cl.node(1).socks.stats();
-  EXPECT_EQ(srv.connections_accepted,
-            as_u64("h1/sockets/connections_accepted"));
-  EXPECT_EQ(srv.connections_accepted, 1u);
-
-  emp::EmpStats es = cl.node(0).emp.stats();
-  EXPECT_EQ(es.sends_posted, as_u64("h0/emp/sends_posted"));
-  EXPECT_EQ(es.data_frames_tx, as_u64("h0/emp/data_frames_tx"));
-  EXPECT_EQ(es.acks_rx, as_u64("h0/emp/acks_rx"));
-  EXPECT_EQ(es.descriptors_walked, as_u64("h0/emp/descriptors_walked"));
-  EXPECT_GT(es.data_frames_tx, 0u);
+  // Read by path with at(): a mistyped path throws instead of reading 0.
+  const auto snap = eng.metrics().snapshot();
+  EXPECT_GT(snap.at("h0/sockets/eager_messages_tx"), 0);
+  EXPECT_EQ(snap.at("h1/sockets/connections_accepted"), 1);
+  EXPECT_GT(snap.at("h0/emp/data_frames_tx"), 0);
 }
 
-TEST(StatsViews, TcpAgreesWithRegistryAfterPingPong) {
+TEST(Registry, TcpPingPongCountsSegmentsAndInterrupts) {
   Engine eng;
   Cluster cl(eng, sim::calibrated_cost_model(), 2);
   auto server = [&]() -> Task<void> {
@@ -261,17 +243,9 @@ TEST(StatsViews, TcpAgreesWithRegistryAfterPingPong) {
   eng.spawn(client());
   eng.run();
 
-  auto snap = eng.metrics().snapshot();
-  const auto as_u64 = [&](const char* path) {
-    return static_cast<std::uint64_t>(snap.at(path));
-  };
-  tcp::TcpStats ts = cl.node(0).tcp.stats();
-  EXPECT_EQ(ts.segments_tx, as_u64("h0/tcp/segments_tx"));
-  EXPECT_EQ(ts.bytes_tx, as_u64("h0/tcp/bytes_tx"));
-  EXPECT_EQ(ts.segments_rx, as_u64("h0/tcp/segments_rx"));
-  EXPECT_EQ(ts.interrupts, as_u64("h0/tcp/interrupts"));
-  EXPECT_GT(ts.segments_tx, 0u);
-  EXPECT_GT(ts.interrupts, 0u);
+  const auto snap = eng.metrics().snapshot();
+  EXPECT_GT(snap.at("h0/tcp/segments_tx"), 0);
+  EXPECT_GT(snap.at("h0/tcp/interrupts"), 0);
 }
 
 TEST(Timeline, PingPongSpansCrossLayersWithMonotoneTimestamps) {

@@ -271,7 +271,8 @@ TEST_F(SubstrateTest, DatagramLargeMessageUsesZeroCopyRendezvous) {
   eng_.spawn(client());
   eng_.run();
   EXPECT_TRUE(ok);
-  EXPECT_GE(stack(0).stats().rendezvous_messages_tx, 1u);
+  EXPECT_GE(eng_.metrics().snapshot().at("h0/sockets/rendezvous_messages_tx"),
+            1);
 }
 
 TEST_F(SubstrateTest, ConnectRefusedWithoutListener) {
@@ -480,8 +481,9 @@ TEST_F(SubstrateTest, BacklogLimitsSimultaneousConnections) {
   EXPECT_LT(connected[0], 30'000'000u);
   EXPECT_LT(connected[1], 30'000'000u);
   EXPECT_GT(connected[2], 30'000'000u);
-  EXPECT_GT(cluster_.node(1).emp.stats().unmatched_drops, 0u);
-  EXPECT_GT(cluster_.node(0).emp.stats().retransmitted_frames, 0u);
+  const auto snap = eng_.metrics().snapshot();
+  EXPECT_GT(snap.at("h1/emp/unmatched_drops"), 0);
+  EXPECT_GT(snap.at("h0/emp/retransmitted_frames"), 0);
 }
 
 TEST_F(SubstrateTest, ConcurrentAcceptsTakeOneRequestOnce) {
@@ -511,7 +513,8 @@ TEST_F(SubstrateTest, ConcurrentAcceptsTakeOneRequestOnce) {
   eng_.spawn(client());
   eng_.run();
   EXPECT_EQ(accepted, 1);
-  EXPECT_EQ(stack(1).stats().connections_accepted, 1u);
+  EXPECT_EQ(eng_.metrics().snapshot().at("h1/sockets/connections_accepted"),
+            1);
   // Listener plus the one child.
   EXPECT_EQ(stack(1).active_socket_count(), 2u);
 }
@@ -619,7 +622,7 @@ TEST_F(SubstrateTest, PartialReadsAcrossRepostsApplyEachCreditOnce) {
                            replies.begin() + i * reply.size()))
         << "round " << i;
   }
-  EXPECT_GT(cl.node(1).socks.stats().credits_piggybacked, 0u);
+  EXPECT_GT(eng.metrics().snapshot().at("h1/sockets/credits_piggybacked"), 0);
 }
 
 TEST_F(SubstrateTest, SelectWakesOnReadable) {
@@ -762,7 +765,7 @@ TEST_F(SubstrateTest, DelayedAcksReduceExplicitAckTraffic) {
     eng.spawn(server());
     eng.spawn(client());
     eng.run();
-    return cl.node(1).socks.stats().credit_acks_tx;
+    return eng.metrics().snapshot().at("h1/sockets/credit_acks_tx");
   };
   auto acks_immediate = run_with(false);
   auto acks_delayed = run_with(true);
@@ -806,7 +809,8 @@ TEST_F(SubstrateTest, PiggybackReturnsCreditsOnReverseTraffic) {
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
-  EXPECT_GT(cl.node(1).socks.stats().credits_piggybacked, 30u);
+  EXPECT_GT(eng.metrics().snapshot().at("h1/sockets/credits_piggybacked"),
+            30);
 }
 
 TEST_F(SubstrateTest, LatencyBeatsKernelTcpByPaperFactor) {
