@@ -45,9 +45,9 @@ std::string g_trace_path;                       // NOLINT
 std::atomic<std::uint64_t> g_total_events{0};   // NOLINT
 std::atomic<std::uint64_t> g_total_wall_ns{0};  // NOLINT
 std::atomic<unsigned> g_pool_threads{1};        // NOLINT
-// Shard/thread configuration recorded in the host_perf block: the largest
-// shard count any run used, the epoch window (lookahead) of the last
-// sharded run, and what --threads resolved to for this process.
+// Configuration recorded in the host_perf block: the largest shard count
+// any run used, the epoch window (lookahead) of the last sharded run, and
+// what --threads resolved to for this process.
 std::atomic<std::uint64_t> g_shards{1};            // NOLINT
 std::atomic<std::uint64_t> g_epoch_ns{0};          // NOLINT
 std::atomic<unsigned> g_resolved_threads{1};       // NOLINT
@@ -144,24 +144,14 @@ void record_events_per_shard(ulsocks::sim::ShardGroup& group) {
   g_events_per_shard = group.events_executed_per_shard();
 }
 
-/// Worker threads for a sharded run.  Never oversubscribe a perf
-/// measurement: more workers than cores turns the epoch spin-barrier into
-/// scheduler thrash.  The simulated result is thread-count invariant, so
-/// clamping only changes wall clock.
-unsigned sharded_threads(unsigned threads, std::size_t shards) {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min({threads, hw, static_cast<unsigned>(shards)});
-}
-
-/// Run a sharded scale workload (ScaleWeb or ScaleC10k) whose options carry
-/// `shards` and the clamped `threads`, and report it: value is the host
-/// events/sec, metrics the merged cross-shard snapshot.  Also records the
-/// process-wide host_perf aggregates (shard count, epoch window, threads,
-/// per-shard load split).  No arm_run(): the tracer is per-engine and a
-/// sharded run has several, so trace exports stay a serial-run feature.
+/// Run a sharded scale workload (ScaleWeb or ScaleC10k) and report it:
+/// value is the host events/sec, metrics the merged cross-shard snapshot.
+/// Also records the process-wide host_perf aggregates (shard count, epoch
+/// window, per-shard load split).  No arm_run(): the tracer is per-engine
+/// and a sharded run has several, so trace exports stay a serial-run
+/// feature.
 template <class Scale>
-RunReport run_sharded(Scale& scale, const StackChoice& stack,
-                      std::size_t shards, unsigned threads) {
+RunReport run_sharded(Scale& scale, const StackChoice& stack) {
   const auto start = Clock::now();
   scale.run(stack.kind() == StackChoice::Kind::kTcp
                 ? Cluster::StackKind::kTcp
@@ -171,19 +161,12 @@ RunReport run_sharded(Scale& scale, const StackChoice& stack,
   run.value = run.perf.events_per_sec;
   run.metrics = merged_shard_metrics(scale.group());
   record_events_per_shard(scale.group());
+  const std::uint64_t shards = scale.group().size();
   std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
   while (prev < shards && !g_shards.compare_exchange_weak(
                               prev, shards, std::memory_order_relaxed)) {
   }
   g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
-  // Record what the sharded run actually used (post-clamp), so the JSON
-  // says whether this host could demonstrate parallel speedup at all;
-  // check_hostperf.py keys its speedup assertion off this.
-  unsigned prev_t = g_resolved_threads.load(std::memory_order_relaxed);
-  while (prev_t < threads &&
-         !g_resolved_threads.compare_exchange_weak(prev_t, threads,
-                                                   std::memory_order_relaxed)) {
-  }
   return run;
 }
 
@@ -824,21 +807,18 @@ RunReport measure_web_response_us(const StackChoice& stack,
 }
 
 RunReport measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
-                                 std::size_t shards, unsigned threads,
-                                 std::size_t requests_per_client,
-                                 bool scalar_lookahead) {
+                                 std::size_t shards,
+                                 std::size_t requests_per_client) {
   ScaleWebOptions opt;
   opt.hosts = hosts;
   opt.shards = shards;
-  opt.scalar_lookahead = scalar_lookahead;
-  opt.threads = sharded_threads(threads, shards);
   opt.requests_per_client = requests_per_client;
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  return run_sharded(scale, stack, shards, opt.threads);
+  return run_sharded(scale, stack);
 }
 
 RunReport measure_scale_web_hotspot_evps(const StackChoice& stack,
-                                         std::size_t shards, unsigned threads,
+                                         std::size_t shards,
                                          std::size_t hot_requests,
                                          std::size_t cold_requests) {
   ScaleWebOptions opt;
@@ -849,9 +829,8 @@ RunReport measure_scale_web_hotspot_evps(const StackChoice& stack,
   opt.per_client_requests.assign(opt.hosts - 1, cold_requests);
   opt.per_client_requests[0] = hot_requests;
   opt.per_client_requests[4] = hot_requests;
-  opt.threads = sharded_threads(threads, shards);
   ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  RunReport run = run_sharded(scale, stack, shards, opt.threads);
+  RunReport run = run_sharded(scale, stack);
   // Identical across shard counts (check_hostperf.py gates on it).  The
   // int64 cast keeps the uint64 bit pattern, so equality is preserved.
   run.metrics["shard/causal_digest"] =
@@ -861,16 +840,15 @@ RunReport measure_scale_web_hotspot_evps(const StackChoice& stack,
 
 RunReport measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
                                    std::size_t connections_per_host,
-                                   std::size_t shards, unsigned threads,
+                                   std::size_t shards,
                                    std::size_t reap_batch) {
   ScaleC10kOptions opt;
   opt.ring_server = ring;
   opt.connections_per_host = connections_per_host;
   opt.shards = shards;
-  opt.threads = sharded_threads(threads, shards);
   opt.reap_batch = reap_batch;
   ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  RunReport run = run_sharded(scale, stack, shards, opt.threads);
+  RunReport run = run_sharded(scale, stack);
   // The measured quantity: application requests served per wall second.
   run.value = run.perf.wall_ms > 0
                   ? static_cast<double>(scale.requests_served()) * 1e3 /

@@ -231,18 +231,13 @@ class BenchResults {
 
 /// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
 /// 1 server + (hosts-1) clients on a star, partitioned over `shards`
-/// engines run by `threads` workers.  The simulated result is shard-count
-/// invariant; the wall-clock throughput is what scales.  The report's
-/// metrics are the merged cross-shard snapshot and its perf.events the
-/// aggregate event count.
-/// `scalar_lookahead` pins the group to the PR5-era scalar epoch bound —
-/// the A/B baseline for the lookahead-matrix epoch-count comparison.
+/// engines stepped serially.  The simulated result is shard-count
+/// invariant.  The report's metrics are the merged cross-shard snapshot
+/// and its perf.events the aggregate event count.
 [[nodiscard]] RunReport measure_scale_web_evps(const StackChoice& stack,
                                                std::size_t hosts,
                                                std::size_t shards,
-                                               unsigned threads,
-                                               std::size_t requests_per_client,
-                                               bool scalar_lookahead = false);
+                                               std::size_t requests_per_client);
 
 /// Host events/sec of the skewed ("hotspot") 16-host web workload: two
 /// hosts carry ~80% of the request traffic, so the static (i + 1) % shards
@@ -251,8 +246,8 @@ class BenchResults {
 /// identical across shard counts — next to the group's shard/epochs and
 /// shard/imbalance gauges.
 [[nodiscard]] RunReport measure_scale_web_hotspot_evps(
-    const StackChoice& stack, std::size_t shards, unsigned threads,
-    std::size_t hot_requests, std::size_t cold_requests);
+    const StackChoice& stack, std::size_t shards, std::size_t hot_requests,
+    std::size_t cold_requests);
 
 /// Served requests per wall-clock second of the C10K concurrency workload
 /// (bench/scale.hpp ScaleC10k): 3 client hosts x `connections_per_host`
@@ -265,7 +260,7 @@ class BenchResults {
 /// ring/batch_size, ring/reap_wait_ns and ring/sqe_inflight instruments.
 [[nodiscard]] RunReport measure_scale_c10k_reqps(
     const StackChoice& stack, bool ring, std::size_t connections_per_host,
-    std::size_t shards = 1, unsigned threads = 1, std::size_t reap_batch = 64);
+    std::size_t shards = 1, std::size_t reap_batch = 64);
 
 /// Pretty size label ("4", "1K", "64K").
 [[nodiscard]] std::string size_label(std::size_t bytes);

@@ -117,27 +117,15 @@ int main(int argc, char** argv) {
        [&] { return measure_ftp_mbps(ds, ftp_bytes); }},
       {"emp_bw_64K", &emp, "64K",
        [&] { return measure_bandwidth_mbps(emp, 65536, bw_total); }},
-      // Sharded scaling: the same 16-host web workload serial and at 4
-      // shards x 4 threads.  The simulated result is identical; the
-      // events/sec ratio between the two points is the parallel speedup
-      // the sharded engine buys (gated >= 2x via the committed baseline).
+      // The same 16-host web workload on one engine and partitioned over
+      // 4 shards.  The simulated result is identical; the events/sec ratio
+      // between the two points is the cost of the epoch schedule.
       {"scale_web_16hosts", &ds, "1shard",
-       [&] {
-         return measure_scale_web_evps(ds, 16, 1, 1, scale_requests);
-       }},
+       [&] { return measure_scale_web_evps(ds, 16, 1, scale_requests); }},
       {"scale_web_16hosts", &ds, "4shards",
        [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4), 4,
+         return measure_scale_web_evps(ds, 16, opt.shards_or(4),
                                        scale_requests);
-       }},
-      // Same run pinned to the PR5-era scalar epoch bound: the A/B
-      // baseline for the lookahead matrix.  check_hostperf.py asserts the
-      // matrix point above needs no more epochs ("shard/epochs" in each
-      // point's metrics) than this one.
-      {"scale_web_16hosts", &ds, "4shards_scalar",
-       [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4), 4,
-                                       scale_requests, /*scalar=*/true);
        }},
       // Skewed ("hotspot") web workload: hosts 1 and 5 carry ~80% of the
       // traffic, and at 4 shards the static (i + 1) % shards placement
@@ -145,17 +133,17 @@ int main(int argc, char** argv) {
       // digests of the 1-, 2- and 4-shard points match.
       {"scale_web_hotspot", &ds, "1shard",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 1, 1, hot_requests,
+         return measure_scale_web_hotspot_evps(ds, 1, hot_requests,
                                                cold_requests);
        }},
       {"scale_web_hotspot", &ds, "2shards",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, 2, 2, hot_requests,
+         return measure_scale_web_hotspot_evps(ds, 2, hot_requests,
                                                cold_requests);
        }},
       {"scale_web_hotspot", &ds, "4shards_static",
        [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4), 4,
+         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4),
                                                hot_requests, cold_requests);
        }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
@@ -175,7 +163,7 @@ int main(int argc, char** argv) {
       {"scale_c10k", &c10k, "ring_4shards",
        [&] {
          return measure_scale_c10k_reqps(c10k, true, c10k_conns,
-                                         opt.shards_or(4), 4);
+                                         opt.shards_or(4));
        },
        "reqps"},
   };

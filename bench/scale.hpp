@@ -1,8 +1,7 @@
 // Many-host scaling topology: one web server plus N-1 request clients on a
-// sharded star network (sim/shard.hpp).  This is the workload the sharded
-// engine exists for — fig15/16-style traffic at host counts a serial event
-// loop cannot sustain — packaged so benches and tests can build it with
-// any shard count and compare results across counts.
+// sharded star network (sim/shard.hpp) — fig15/16-style traffic packaged
+// so benches and tests can build it with any shard count and compare
+// results across counts.
 #pragma once
 
 #include <algorithm>
@@ -22,8 +21,7 @@ namespace ulsocks::bench {
 
 struct ScaleWebOptions {
   std::size_t hosts = 16;   // host 0 serves, the rest request
-  std::size_t shards = 1;   // ShardGroup size (1 = serial reference)
-  unsigned threads = 1;     // worker threads for ShardGroup::run
+  std::size_t shards = 1;   // ShardGroup size (1 = one engine)
   std::uint32_t response_bytes = 8192;
   std::uint32_t requests_per_connection = 8;  // HTTP/1.1 style
   std::size_t requests_per_client = 64;
@@ -33,10 +31,6 @@ struct ScaleWebOptions {
   // requests_per_client.  The hotspot bench concentrates ~80% of traffic
   // on two hosts this way.
   std::vector<std::size_t> per_client_requests = {};
-  // A/B switch: pin the group to the PR5-era scalar bound (global_min + W)
-  // instead of the per-edge lookahead matrix.  Same topology, same traffic
-  // — only the epoch schedule differs, so epoch counts are comparable.
-  bool scalar_lookahead = false;
   // Per-host cable lengths (ns of propagation, cycled over hosts); empty
   // keeps the model's uniform wire.  See apps::Cluster.
   std::vector<sim::Duration> per_host_propagation = {};
@@ -52,11 +46,7 @@ class ScaleWeb {
         group_(opt.shards, default_lookahead(model, opt), opt.seed),
         cluster_(group_, model, opt.hosts, cfg, {}, true,
                  opt.per_host_propagation),
-        per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {
-    if (opt.scalar_lookahead) {
-      group_.set_lookahead_mode(sim::ShardGroup::LookaheadMode::kScalar);
-    }
-  }
+        per_client_(opt.hosts > 1 ? opt.hosts - 1 : 0) {}
 
   /// Requests client `idx` (host idx + 1) issues this run.
   [[nodiscard]] std::size_t requests_of_client(std::size_t idx) const {
@@ -100,14 +90,14 @@ class ScaleWeb {
     for (std::size_t i = 0; i + 1 < opt_.hosts; ++i) {
       cluster_.spawn_on(i + 1, client(i));
     }
-    group_.run(opt_.threads);
+    group_.run();
   }
 
  private:
-  // The group's default (and scalar-mode) lookahead must lower-bound every
-  // link in the topology, so with heterogeneous cables it is the minimum
-  // per-host link latency; the registered edge matrix carries the true
-  // per-link values on top.
+  // The group's default lookahead must lower-bound every link in the
+  // topology, so with heterogeneous cables it is the minimum per-host link
+  // latency; the registered edge matrix carries the true per-link values
+  // on top.
   [[nodiscard]] static sim::Duration default_lookahead(
       const sim::CostModel& model, const ScaleWebOptions& opt) {
     sim::WireCosts wire = model.wire;
@@ -137,7 +127,6 @@ struct ScaleC10kOptions {
   std::size_t client_hosts = 3;          // hosts 1..N each run many conns
   std::size_t connections_per_host = 334;  // 3 * 334 ~ 1000 concurrent
   std::size_t shards = 1;
-  unsigned threads = 1;
   std::uint32_t response_bytes = 256;
   std::uint32_t requests_per_connection = 2;
   bool ring_server = true;               // false: blocking web_server
@@ -222,7 +211,7 @@ class ScaleC10k {
         cluster_.spawn_on(h, conn(h, c));
       }
     }
-    group_.run(opt_.threads);
+    group_.run();
   }
 
  private:

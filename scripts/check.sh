@@ -9,8 +9,9 @@
 #      src): determinism, shard affinity, coroutine lifetime, layering,
 #      wire hygiene.  Fails on new findings, unused suppressions or a
 #      stale baseline (DESIGN.md §12).
-#   4. ThreadSanitizer build running the sharded determinism tests with
-#      4 shards on 4 worker threads (the parallel engine's race surface).
+#   4. ThreadSanitizer build running the bench harness's run_points()
+#      pool tests (the only code that runs simulations on several
+#      threads).
 #   5. Benchmark simulated outputs: perfbench/run.py runs every workload
 #      once, traced, at seed 7 and fails on any mismatch against
 #      perfbench/reference.json (digests, event and probe counts,
@@ -76,18 +77,20 @@ fi
 echo "==> [3/$TOTAL] ulsan static-analysis suite"
 PYTHONPATH="$PWD/scripts${PYTHONPATH:+:$PYTHONPATH}" python3 -m ulsan src
 
-echo "==> [4/$TOTAL] ThreadSanitizer: sharded determinism tests with real threads"
-# The sharded engine's only cross-thread surface is the epoch barrier and
-# the mailboxes; the Sharding.* tests run 4-shard groups on 4 worker
-# threads, which is exactly the surface TSan needs to see.  TSan excludes
-# the other sanitizers, so this is its own build tree.
+echo "==> [4/$TOTAL] ThreadSanitizer: bench run_points() pool"
+# Sharded groups step their engines serially, so the only code that runs
+# simulations on several threads is bench::run_points(), which fans whole
+# runs over a worker pool.  Concurrent runs share the process-wide pooling
+# switches, the thread_local spill freelists and the host_perf atomics;
+# the RunPoints.* and BenchResults.* tests drive exactly that.  TSan
+# excludes the other sanitizers, so this is its own build tree.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DULSOCKS_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$JOBS" --target determinism_test
+cmake --build "$TSAN_DIR" -j "$JOBS" --target harness_test
 TSAN_OPTIONS=halt_on_error=1 \
-  "$TSAN_DIR/tests/determinism_test" --gtest_filter='Sharding.*'
+  "$TSAN_DIR/tests/harness_test" --gtest_filter='RunPoints.*:BenchResults.*'
 
 echo "==> [5/$TOTAL] benchmark simulated outputs vs perfbench/reference.json"
 # run.py exits 1 on any reference mismatch; --seconds 1 keeps it short.

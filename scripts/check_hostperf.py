@@ -21,36 +21,20 @@ too: it is deterministic (a pure function of the workload), so the current
 value may not exceed the baseline by more than 10% — that would mean a
 copy crept back into the zero-copy data path.
 
-The sharded engine has its own gate: the scale_web_16hosts scenario is
-recorded at 1 shard and 4 shards, and the 4-shard point must reach at
-least 2x the 1-shard events/sec — the parallel speedup the sharded engine
-exists to buy.  Speedup requires cores: the check applies only when
-host_perf.resolved_threads in the CURRENT run is > 1 (the bench clamps its
-workers to the hardware, so resolved_threads == 1 means a single-core host
-where the 4-shard point measures epoch overhead, not parallelism, and the
-plain 25% regression gate is the only meaningful bound).
-
 The C10K scenario has a structural gate of its own: scale_c10k records the
 same ~1000-connection traffic served by the ring server (one parked reap
 pump) and the blocking server (one parked coroutine per connection), and
 the ring point must serve at least as many requests per wall second as the
 blocking point — the batched submit/reap API exists to beat the thundering
-herd, so losing to it is a regression in the ring path, not noise.
+herd, so losing to it is a regression in the ring path, not noise.  Both
+points run on one engine, so the gate applies on every host.
 
-Epoch counts are checked on every host, single-core included: each evps
-point carries its "shard/epochs" metric, reported per scenario, and a
-point with a "_scalar" twin (same series, x + "_scalar" — the run pinned
-to the scalar group-wide lookahead) must not need MORE epochs than the
-twin.  Epoch counts are deterministic, so this is an exact structural
-gate on the per-edge lookahead matrix, not a wall-clock one.
+Each evps point that carries a "shard/epochs" metric has that count
+printed, so a change in the epoch schedule shows in the log.
 
 The scale_web_hotspot series (a skewed web workload at 1, 2 and 4
 shards) gates determinism: the causal digest must be identical on every
 point, since the shard count may split the work, never change it.
-
-Every wall-clock gate that needs real parallelism (the shard speedup, the
-C10K reqps comparison) arms through the one shared multi_core_gate_armed()
-guard instead of per-gate copies.
 
 Before judging, the machine of the current run and of the baseline (CPU
 model, nproc, resolved_threads) are printed, so a ratio can be read
@@ -75,9 +59,6 @@ DEFAULT_MIN_RATIO = 0.75
 # bytes_copied is deterministic per workload; allow slack only for
 # smoke-vs-full sizing mistakes to surface loudly, not for drift.
 BYTES_COPIED_MAX_RATIO = 1.10
-# Required 4-shard/1-shard events/sec ratio on multi-core hosts.
-SHARD_SERIES = "scale_web_16hosts"
-MIN_SHARD_SPEEDUP = 2.0
 # The completion-ring server must at least match the blocking server on
 # identical C10K traffic (requests per wall second).
 C10K_SERIES = "scale_c10k"
@@ -111,10 +92,6 @@ def host_perf(path):
     return doc.get("host_perf", {})
 
 
-def resolved_threads(path):
-    return host_perf(path).get("resolved_threads", 1)
-
-
 def print_machine(label, path):
     """One line naming the machine a recording came from."""
     hp = host_perf(path)
@@ -124,53 +101,13 @@ def print_machine(label, path):
           "  ".join(f"{name}={value}" for name, value in fields))
 
 
-def multi_core_gate_armed(current_path, gate, observed):
-    """The single guard for every wall-clock gate that needs parallelism.
-
-    A wall-clock ratio only means "the parallel machinery works" when the
-    run had real cores: the bench clamps its workers to the hardware, so
-    host_perf.resolved_threads == 1 is a single-core host where multi-shard
-    points measure epoch overhead, not speedup, and only the plain 25%
-    regression gate applies.  Prints the observed ratio either way so
-    single-core CI logs still show the number.
-    """
-    threads = resolved_threads(current_path)
-    if threads > 1:
-        return True
-    print(f"NOTE {gate}: observed {observed} on a single-core host "
-          f"(resolved_threads={threads}); wall-clock gate skipped")
-    return False
-
-
-def check_shard_speedup(current, current_path):
-    """Returns a list of failure tuples (possibly empty)."""
-    one = current.get((SHARD_SERIES, "1shard"))
-    four = current.get((SHARD_SERIES, "4shards"))
-    if one is None or four is None:
-        return []
-    speedup = four[0] / one[0] if one[0] > 0 else float("inf")
-    if not multi_core_gate_armed(current_path, SHARD_SERIES,
-                                 f"4-shard/1-shard ratio {speedup:.2f}"):
-        return []
-    status = "OK " if speedup >= MIN_SHARD_SPEEDUP else "FAIL"
-    print(f"{status} {SHARD_SERIES:<16} 4-shard speedup {speedup:5.2f}x "
-          f"(required >= {MIN_SHARD_SPEEDUP:.0f}x on "
-          f"resolved_threads={resolved_threads(current_path)})")
-    if speedup < MIN_SHARD_SPEEDUP:
-        return [(SHARD_SERIES, "4shards-speedup", speedup)]
-    return []
-
-
-def check_c10k_ring(current, current_path):
+def check_c10k_ring(current):
     """Ring server must serve >= the blocking server's reqps."""
     ring = current.get((C10K_SERIES, "ring"))
     blocking = current.get((C10K_SERIES, "blocking"))
     if ring is None or blocking is None:
         return []
     ratio = ring[0] / blocking[0] if blocking[0] > 0 else float("inf")
-    if not multi_core_gate_armed(current_path, C10K_SERIES,
-                                 f"ring/blocking reqps ratio {ratio:.2f}"):
-        return []
     status = "OK " if ratio >= 1.0 else "FAIL"
     print(f"{status} {C10K_SERIES:<16} ring/blocking reqps ratio {ratio:5.2f} "
           f"(required >= 1.00)")
@@ -209,31 +146,11 @@ def check_hotspot_digest(current):
     return failures
 
 
-def check_epochs(current):
-    """Report epoch counts and gate matrix points against scalar twins.
-
-    Every evps point that recorded "shard/epochs" is printed; a point whose
-    series has an "<x>_scalar" sibling is the matrix-lookahead run of the
-    same workload and shard count, and must not need more epochs than the
-    scalar baseline (fewer is the whole point; equal can happen when a
-    workload never gives the wider bounds room).
-    """
-    failures = []
+def print_epochs(current):
+    """Print the "shard/epochs" count of every evps point that recorded one."""
     for (series, x), (_, _, epochs, _) in sorted(current.items()):
         if epochs is not None:
             print(f"     {series:<16} x={x:<14} shard/epochs {epochs}")
-    for (series, x), (_, _, epochs, _) in sorted(current.items()):
-        if epochs is None or x.endswith("_scalar"):
-            continue
-        scalar = current.get((series, x + "_scalar"))
-        if scalar is None or scalar[2] is None:
-            continue
-        status = "OK " if epochs <= scalar[2] else "FAIL"
-        print(f"{status} {series:<16} x={x:<14} matrix epochs {epochs} "
-              f"vs scalar {scalar[2]}")
-        if epochs > scalar[2]:
-            failures.append((series, x + "-epochs", epochs / scalar[2]))
-    return failures
 
 
 def main(argv):
@@ -293,10 +210,9 @@ def main(argv):
     for key in sorted(set(current) - set(baseline)):
         print(f"NOTE: new scenario {key[0]}/{key[1]} has no baseline; "
               f"refresh with: cp {current_path} {baseline_path}")
-    failures.extend(check_shard_speedup(current, current_path))
-    failures.extend(check_c10k_ring(current, current_path))
+    failures.extend(check_c10k_ring(current))
     failures.extend(check_hotspot_digest(current))
-    failures.extend(check_epochs(current))
+    print_epochs(current)
 
     if failures:
         print(f"\nERROR: {len(failures)} host-perf gate failure(s)",

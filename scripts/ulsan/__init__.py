@@ -3,7 +3,7 @@
 A token-level multi-rule lint framework (the generalization of the old
 ``lint_coro_captures.py``) guarding the properties this repository's
 correctness argument rests on: determinism (byte-identical digests across
-shard counts and pool modes), shard affinity (single-threaded pools and
+shard counts and pool modes), shard affinity (per-shard pools and
 engines), coroutine lifetime, the inter-library include DAG, and wire
 format hygiene.
 

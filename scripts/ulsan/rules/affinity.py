@@ -1,8 +1,8 @@
 """ulsan-shard-affinity: pool and engine handles must not cross shards.
 
-Frame pools, slice pools, slice refcounts and engines are single-threaded
-by contract (DESIGN.md §11): every shard owns its own, and the hot path is
-lock-free *because* nothing is shared.  The one sanctioned crossing is
+Frame pools, slice pools, slice refcounts and engines belong to one shard
+(DESIGN.md §11): every shard owns its own, and a shard's state changes only
+through that shard's own events.  The one sanctioned crossing is
 ``net::Link``'s rehoming transmit path, which deep-copies the frame out of
 its source shard's allocator world (``clone_for_shard_transfer``) before
 handing it to ``ShardGroup::post_remote``.
@@ -22,9 +22,10 @@ Three shapes are flagged:
    when a cross-shard edge forms, and nothing else may invent one.
 
 3. A lambda handed to ``post_remote`` that smuggles shard-local state:
-   any by-reference or ``this`` capture (the callback runs on another
-   shard's thread), or a capture whose name looks like a pool or engine
-   handle.  This check applies *inside* the sanctioned files too — the
+   any by-reference or ``this`` capture (the callback runs later, on the
+   destination shard, after the source has run ahead; a reference would
+   read source state outside the lookahead contract), or a capture whose
+   name looks like a pool or engine handle.  This check applies *inside* the sanctioned files too — the
    rehoming path must stay clean (value captures of the destination sink
    and the already-cloned frame only).
 """
@@ -106,7 +107,7 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                 findings.append(_finding(
                     sf, lam.start(),
                     "by-reference capture in a post_remote callback — the "
-                    "callback runs on another shard's thread; captured "
+                    "callback runs later on another shard; captured "
                     "referents belong to the source shard"))
                 continue
             bad = _smuggled(caps)
@@ -115,6 +116,6 @@ def check(sf: SourceFile, ctx: RunContext) -> list[Finding]:
                     sf, lam.start(),
                     f"capture '{bad}' in a post_remote callback smuggles a "
                     f"shard-local handle across the engine boundary — "
-                    f"pools and engines are single-threaded by contract "
+                    f"pools and engines belong to one shard "
                     f"(DESIGN.md §11)"))
     return findings

@@ -37,11 +37,14 @@ namespace {
 
 // Deep-copy `f` into a fresh heap frame owned by no pool, with every
 // payload slice re-backed by private heap storage.  Frame pools, slice
-// pools and slice refcounts are all single-threaded per shard, so a frame
-// crossing shards must leave its source shard's allocator world entirely;
-// the copy happens on the source thread, and the original (with its pool
-// and slice references) dies there too.  Slice boundaries are preserved so
-// scatter-gather receive paths behave identically serial vs. sharded.
+// pools and slice refcounts belong to one shard, so a frame crossing shards
+// must leave its source shard's allocator world entirely: the copy is taken
+// at the source's send time, and the original (with its pool and slice
+// references) returns to the source pools there, not whenever the
+// destination drops it in a later window.  Each shard's pool occupancy and
+// high-water marks thus stay a function of its own events.  Slice
+// boundaries are preserved so scatter-gather receive paths behave
+// identically serial vs. sharded.
 FramePtr clone_for_shard_transfer(const Frame& f) {
   FramePtr out = make_frame_ptr();
   out->dst = f.dst;

@@ -7,7 +7,7 @@
 // sim::ShardGroup, transmit() deep-copies the frame off the source shard's
 // pools and posts it through the group's cross-shard mailbox instead — the
 // link's serialization + propagation delay is exactly the lookahead that
-// makes the conservative-parallel schedule safe (see sim/shard.hpp).
+// makes the conservative epoch schedule safe (see sim/shard.hpp).
 #pragma once
 
 #include <cstdint>

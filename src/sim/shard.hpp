@@ -1,7 +1,8 @@
-// Conservative-parallel sharded simulation (CMB-style, per-edge lookahead
-// distance matrix).
+// Partitioned simulation: N engines stepped serially in conservative
+// (CMB-style) epochs bounded by a per-edge lookahead distance matrix.
 //
-// A ShardGroup owns N independent Engines and runs them in bounded epochs.
+// A ShardGroup owns N independent Engines and runs them in bounded epochs,
+// one shard after another in shard order on the calling thread.
 // Cross-shard interactions are described by a per-(src, dst) lookahead
 // matrix W: W[s][d] is a lower bound on the simulated latency of any
 // effect shard s can impose on shard d over a direct edge (for an
@@ -14,7 +15,7 @@
 //
 //   bound_i = min over all shards j of (T_j + D[j][i])
 //
-// (T_j = shard j's next event time), instead of the PR5-era scalar
+// (T_j = shard j's next event time), rather than one group-wide window
 // `global_min(T_j) + W`: a shard whose only incoming edges are long-haul
 // advances in strides of the long latency while tightly-coupled pairs
 // stay tight, and an idle shard (T_j = infinity) constrains nobody.  The
@@ -23,18 +24,21 @@
 // reflection-path caveat (D[i][i] is exactly the term that bounds a shard
 // against echoes of its own future output).
 //
-// Cross-shard events travel through per-(src, dst) mailboxes written only
-// by the source shard's thread during a window and drained only at the
-// single-threaded epoch barrier, sorted by (t, seq, src_shard).  The seq
-// is a per-mailbox push ordinal, so the drain order — and therefore the
-// destination engine's sequence numbering — is a pure function of each
-// source shard's own deterministic execution, never of thread timing:
-// a parallel run is byte-identical to stepping the shards serially.
+// Cross-shard events travel through per-(src, dst) mailboxes written by
+// the source shard during its window and drained only at the epoch
+// barrier, sorted by (t, seq, src_shard).  The seq is a per-mailbox push
+// ordinal, so the drain order — and therefore the destination engine's
+// sequence numbering — is a pure function of each source shard's own
+// deterministic execution.
+//
+// The shards are never stepped concurrently: on the workloads this
+// simulator runs, the busiest shard carries two thirds of all events, so
+// threads cannot pay for their barriers (DESIGN.md §11).  The epoch
+// schedule stays because it defines the event order every sharded
+// result is recorded against.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -53,12 +57,6 @@ class ShardGroup {
   /// it contributes no epoch constraint.
   static constexpr Duration kUnreachable = ~Duration{0};
   static constexpr std::size_t kNone = ~std::size_t{0};
-
-  /// How epoch bounds are computed.  kMatrix (the default) uses the
-  /// per-edge closure described above; kScalar reproduces the PR5-era
-  /// single group-wide window `global_min + lookahead` — kept as the A/B
-  /// baseline the epoch-count benches compare against.
-  enum class LookaheadMode : std::uint8_t { kMatrix, kScalar };
 
   /// `lookahead` is the default lower bound on the simulated latency of
   /// every cross-shard interaction; post_remote() enforces it per post.
@@ -104,27 +102,19 @@ class ShardGroup {
   /// shard — the reflection bound.
   [[nodiscard]] Duration path_lookahead(std::uint32_t src, std::uint32_t dst);
 
-  void set_lookahead_mode(LookaheadMode m) noexcept { mode_ = m; }
-  [[nodiscard]] LookaheadMode lookahead_mode() const noexcept {
-    return mode_;
-  }
-
   /// Post `fn` to run at absolute time `t` on shard `dst`.  Must be called
-  /// from shard `src`'s thread during its window (or from the barrier
-  /// thread); `t` must honour edge_lookahead(src, dst) relative to src's
-  /// clock.  Entries are delivered at the next epoch barrier in
-  /// (t, seq, src) order.
+  /// while shard `src` executes its window (or between windows); `t` must
+  /// honour edge_lookahead(src, dst) relative to src's clock.  Entries are
+  /// delivered at the next epoch barrier in (t, seq, src) order.
   void post_remote(std::uint32_t src, std::uint32_t dst, Time t, EventFn fn);
 
-  /// Run all shards to completion.  `threads == 0` resolves to the
-  /// hardware concurrency; anything <= 1 steps the shards serially in
-  /// shard order — the determinism reference the parallel path must match
-  /// byte-for-byte.  Rethrows the first (by shard index) failure.
-  void run(unsigned threads = 0);
+  /// Run all shards to completion, stepping them in shard order within
+  /// each epoch.  A failing window propagates at once, so the first
+  /// failure by shard index is the one thrown.  The argument is ignored.
+  void run(unsigned /*ignored*/ = 0);
 
   /// Per-shard ordered digests folded in fixed shard order.  For a
-  /// one-shard group this is exactly shard 0's digest.  Identical between
-  /// parallel and serial-stepped runs at the same shard count.
+  /// one-shard group this is exactly shard 0's digest.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Wrapping sum of the shards' order-insensitive digests — invariant
@@ -142,14 +132,12 @@ class ShardGroup {
   [[nodiscard]] Time now() const;
 
   /// Epoch windows executed so far (coalesced micro-epochs count
-  /// individually; this is the number the epoch-count bench gate tracks).
+  /// individually; the benchmark reference pins this count).
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
 
-  /// Epochs whose runnable set was a single shard: the adaptive scheduler
-  /// runs these on the barrier thread without waking any worker, and
-  /// consecutive quiet ones coalesce without re-deriving the full bound
-  /// vector.  A pure function of the workload and partition — identical
-  /// between serial and parallel runs.
+  /// Epochs whose runnable set was a single shard: consecutive quiet ones
+  /// coalesce without re-deriving the full bound vector (see
+  /// coalesce_single()).  A pure function of the workload and partition.
   [[nodiscard]] std::uint64_t barrier_skips() const noexcept {
     return barrier_skips_;
   }
@@ -167,10 +155,10 @@ class ShardGroup {
   /// Flushed at the end of every run(); safe to snapshot when quiesced.
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
-  /// Group-level checkers, swept on the barrier thread while all shards
-  /// are quiesced — the only safe place to read state across shards.
-  /// Cross-shard conservation laws register here; per-shard protocol
-  /// checkers stay on their own engine's registry.
+  /// Group-level checkers, swept at epoch barriers while all shards are
+  /// between windows — the only consistent place to read state across
+  /// shards.  Cross-shard conservation laws register here; per-shard
+  /// protocol checkers stay on their own engine's registry.
   [[nodiscard]] check::Registry& checks() noexcept { return checks_; }
 
   /// Epoch windows between group checker sweeps (default 256; 0 disables
@@ -199,10 +187,8 @@ class ShardGroup {
     std::uint32_t src;
     EventFn fn;
   };
-  // One mailbox per (src, dst) pair, cache-line aligned: during a window
-  // each is written by exactly one thread (src's), and adjacent mailboxes
-  // belong to different writers.
-  struct alignas(64) Mailbox {
+  // One mailbox per (src, dst) pair, written only while src executes.
+  struct Mailbox {
     std::vector<MailEntry> entries;
     std::uint64_t next_seq = 0;  // total ever posted through this box
   };
@@ -237,19 +223,15 @@ class ShardGroup {
   [[nodiscard]] std::size_t single_runnable() const;
   /// True when shard `src` has posted nothing into any mailbox.
   [[nodiscard]] bool outbox_empty(std::size_t src) const;
-  /// Run shard `i` through consecutive windows on the calling (barrier)
-  /// thread while it stays the sole runnable shard and posts no mail,
-  /// bounded by kMaxCoalesceStride.  Returns windows executed (>= 1);
-  /// epochs_ advances per window.
+  /// Run shard `i` through consecutive windows while it stays the sole
+  /// runnable shard and posts no mail, bounded by kMaxCoalesceStride.
+  /// Returns windows executed (>= 1); epochs_ advances per window.
   std::size_t coalesce_single(std::size_t i);
-  /// Execute shard i's window up to bounds_[i]; failures land in
-  /// errors_[i] (never thrown across a worker thread boundary).
-  void run_shard(std::size_t i) noexcept;
-  /// Rethrow window failures, drain mailboxes, sweep group checkers.
+  /// Execute shard i's window up to bounds_[i].
+  void run_shard(std::size_t i);
+  /// Drain mailboxes, sweep group checkers.
   void finish_epoch();
   void deliver_mailboxes();
-  void run_serial();
-  void run_parallel(unsigned resolved);
   void flush_metrics();
 
   /// Windows a quiet single-shard streak may run before forcing a full
@@ -257,7 +239,6 @@ class ShardGroup {
   static constexpr std::size_t kMaxCoalesceStride = 64;
 
   Duration lookahead_;
-  LookaheadMode mode_ = LookaheadMode::kMatrix;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Mailbox> mail_;      // mail_[src * size() + dst]
   std::vector<Duration> edges_;    // direct-edge lookahead matrix W
@@ -267,7 +248,6 @@ class ShardGroup {
   std::vector<Time> bounds_;       // per-shard epoch bound (kNoBound = drain)
   std::vector<Time> tnext_;        // per-shard next event time this epoch
   std::vector<std::uint8_t> runnable_;
-  std::vector<std::exception_ptr> errors_;
   std::vector<MailEntry> scratch_;  // barrier-only delivery sort buffer
   check::Registry checks_;
   obs::Registry metrics_;

@@ -41,7 +41,7 @@ std::vector<std::function<RunReport()>> mixed_jobs() {
       },
       [] {
         return measure_scale_c10k_reqps(c10k_stack(), /*ring=*/true, 8,
-                                        /*shards=*/2, /*threads=*/2);
+                                        /*shards=*/2);
       },
   };
 }
@@ -142,7 +142,7 @@ TEST(BenchResults, C10kOnlyBenchRecordsItsEpochWindow) {
   BenchResults results("harness_test_c10k", "C10K-only bench");
   results.add("scale_c10k", c10k_stack(), "ring",
               measure_scale_c10k_reqps(c10k_stack(), /*ring=*/true, 8,
-                                       /*shards=*/2, /*threads=*/2),
+                                       /*shards=*/2),
               "reqps");
   const std::string path = results.write(::testing::TempDir());
   ASSERT_FALSE(path.empty());

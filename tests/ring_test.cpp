@@ -249,7 +249,7 @@ WebSignature run_web_sharded(std::size_t shards, const WebRunOptions& opt) {
           cl, opt, n + 1, c, stats[n * opt.clients_per_node + c]));
     }
   }
-  group.run(1);
+  group.run();
   WebSignature sig{group.digest(), group.causal_digest(),
                    group.events_executed(), group.now(), 0};
   for (const auto& s : stats) sig.responses += s.count();
