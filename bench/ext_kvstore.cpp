@@ -61,6 +61,7 @@ KvResult run_kv(apps::Cluster::StackKind kind, std::size_t value_bytes,
   eng.spawn(server());
   eng.spawn(client());
   eng.run();
+  result.run.perf.events = eng.events_executed();
   result.run.metrics = eng.metrics().snapshot();
   return result;
 }

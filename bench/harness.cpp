@@ -16,15 +16,12 @@
 #include <exception>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "apps/ftp.hpp"
 #include "apps/httpd.hpp"
 #include "apps/matmul.hpp"
 #include "obs/timeline.hpp"
-#include "scale.hpp"
-#include "sim/shard.hpp"
 
 namespace ulsocks::bench {
 
@@ -37,41 +34,13 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint16_t kPort = 5001;
 
 // Process-wide observability state.  Each run's own numbers travel back in
-// its RunReport; what lives here describes the whole process: the
-// host-perf totals folded into every bench JSON, and the armed trace path
-// (arming a trace forces run_points() serial, so only one thread ever
-// touches it).
-std::string g_trace_path;                       // NOLINT
-std::atomic<std::uint64_t> g_total_events{0};   // NOLINT
-std::atomic<std::uint64_t> g_total_wall_ns{0};  // NOLINT
-std::atomic<unsigned> g_pool_threads{1};        // NOLINT
-// Configuration recorded in the host_perf block: the largest shard count
-// any run used, the epoch window (lookahead) of the last sharded run, and
-// what --threads resolved to for this process.
-std::atomic<std::uint64_t> g_shards{1};            // NOLINT
-std::atomic<std::uint64_t> g_epoch_ns{0};          // NOLINT
-std::atomic<unsigned> g_resolved_threads{1};       // NOLINT
-// Per-shard executed-event counts of the last sharded run (any thread);
-// written under a mutex because run_points() workers race to finish.
-std::mutex g_eps_mu;                                  // NOLINT
-std::vector<std::uint64_t> g_events_per_shard;        // NOLINT
-
-/// Host cost of a run that started at `t0` and executed `events`; also
-/// folds it into the process-wide host_perf totals.
-HostPerf account_run(Clock::time_point t0, std::uint64_t events) {
-  const auto wall_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
-          .count());
-  g_total_events.fetch_add(events, std::memory_order_relaxed);
-  g_total_wall_ns.fetch_add(wall_ns, std::memory_order_relaxed);
-  HostPerf p;
-  p.wall_ms = static_cast<double>(wall_ns) / 1e6;
-  p.events = events;
-  p.events_per_sec = wall_ns > 0 ? static_cast<double>(events) * 1e9 /
-                                       static_cast<double>(wall_ns)
-                                 : 0.0;
-  return p;
-}
+// its RunReport; what lives here describes the whole process: the pool
+// widths recorded in every bench JSON's host_perf block, and the armed
+// trace path (arming a trace forces run_points() serial, so only one
+// thread ever touches it).
+std::string g_trace_path;                     // NOLINT
+std::atomic<unsigned> g_pool_threads{1};      // NOLINT
+std::atomic<unsigned> g_resolved_threads{1};  // NOLINT
 
 /// Call before spawning workload coroutines: turns the tracer on when a
 /// trace export is armed, so the whole run is captured, and returns the
@@ -85,9 +54,15 @@ Clock::time_point arm_run(Engine& eng) {
 /// and host cost, and flushes the armed trace export (first armed run only
 /// — later runs are untraced).
 RunReport finish_run(Engine& eng, Clock::time_point t0, double value) {
+  const auto wall_ns = static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
+          .count());
   RunReport run;
   run.value = value;
-  run.perf = account_run(t0, eng.events_executed());
+  run.perf.wall_ms = wall_ns / 1e6;
+  run.perf.events = eng.events_executed();
+  run.perf.events_per_sec =
+      wall_ns > 0 ? static_cast<double>(run.perf.events) * 1e9 / wall_ns : 0.0;
   run.metrics = eng.metrics().snapshot();
   if (!g_trace_path.empty()) {
     if (!eng.tracer().export_chrome_json(g_trace_path)) {
@@ -99,74 +74,6 @@ RunReport finish_run(Engine& eng, Clock::time_point t0, double value) {
     }
     g_trace_path.clear();
   }
-  return run;
-}
-
-/// Merge the per-shard registry snapshots of a group into one map.  Host
-/// scopes ("h<N>/...") are disjoint across shards, so most keys appear
-/// once; keys shared by every engine (notably "host/bytes_copied") merge
-/// by suffix: /min takes the min, /max and the histogram quantiles take
-/// the max, everything else (counts, sums, gauges) adds.
-std::map<std::string, std::int64_t> merged_shard_metrics(
-    ulsocks::sim::ShardGroup& group) {
-  auto ends_with = [](const std::string& s, std::string_view suf) {
-    return s.size() >= suf.size() &&
-           s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-  };
-  std::map<std::string, std::int64_t> out = group.shard(0).metrics().snapshot();
-  for (std::size_t i = 1; i < group.size(); ++i) {
-    for (const auto& [key, v] : group.shard(i).metrics().snapshot()) {
-      auto [it, inserted] = out.try_emplace(key, v);
-      if (inserted) continue;
-      if (ends_with(key, "/min")) {
-        it->second = std::min(it->second, v);
-      } else if (ends_with(key, "/max") || ends_with(key, "/p50") ||
-                 ends_with(key, "/p99")) {
-        it->second = std::max(it->second, v);
-      } else {
-        it->second += v;
-      }
-    }
-  }
-  // The group's own scheduler instruments ("shard/epochs",
-  // "shard/barrier_skips", "shard/epoch_ns/...") live in a separate
-  // registry with a disjoint namespace; fold them in verbatim so bench
-  // snapshots expose the epoch-size distribution per point.
-  for (const auto& [key, v] : group.metrics().snapshot()) out[key] = v;
-  return out;
-}
-
-/// Remember the per-shard load split of a sharded run for the host_perf
-/// JSON block (last multi-shard run wins).
-void record_events_per_shard(ulsocks::sim::ShardGroup& group) {
-  if (group.size() <= 1) return;
-  std::lock_guard<std::mutex> lk(g_eps_mu);
-  g_events_per_shard = group.events_executed_per_shard();
-}
-
-/// Run a sharded scale workload (ScaleWeb or ScaleC10k) and report it:
-/// value is the host events/sec, metrics the merged cross-shard snapshot.
-/// Also records the process-wide host_perf aggregates (shard count, epoch
-/// window, per-shard load split).  No arm_run(): the tracer is per-engine
-/// and a sharded run has several, so trace exports stay a serial-run
-/// feature.
-template <class Scale>
-RunReport run_sharded(Scale& scale, const StackChoice& stack) {
-  const auto start = Clock::now();
-  scale.run(stack.kind() == StackChoice::Kind::kTcp
-                ? Cluster::StackKind::kTcp
-                : Cluster::StackKind::kSubstrate);
-  RunReport run;
-  run.perf = account_run(start, scale.group().events_executed());
-  run.value = run.perf.events_per_sec;
-  run.metrics = merged_shard_metrics(scale.group());
-  record_events_per_shard(scale.group());
-  const std::uint64_t shards = scale.group().size();
-  std::uint64_t prev = g_shards.load(std::memory_order_relaxed);
-  while (prev < shards && !g_shards.compare_exchange_weak(
-                              prev, shards, std::memory_order_relaxed)) {
-  }
-  g_epoch_ns.store(scale.group().lookahead(), std::memory_order_relaxed);
   return run;
 }
 
@@ -578,12 +485,10 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       opt.out_dir = value();
     } else if (arg == "--threads") {
       opt.threads = count();
-    } else if (arg == "--shards") {
-      opt.shards = count();
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: %s [--iters N] [--trace FILE] [--out DIR] "
-                   "[--threads N] [--shards N]\n",
+                   "[--threads N]\n",
                    argv[0]);
       std::exit(0);
     } else {
@@ -594,9 +499,6 @@ BenchOptions parse_bench_args(int argc, char** argv) {
   }
   if (!opt.trace_path.empty()) set_trace_export(opt.trace_path);
   g_resolved_threads.store(opt.resolved_threads(), std::memory_order_relaxed);
-  if (opt.shards > 0) {
-    g_shards.store(opt.shards, std::memory_order_relaxed);
-  }
   return opt;
 }
 
@@ -619,6 +521,7 @@ void BenchResults::add(std::string_view series, std::string_view stack_name,
   p.x = std::string(x);
   p.value = run.value;
   p.unit = std::string(unit);
+  p.perf = run.perf;
   p.metrics = run.metrics;
   points_.push_back(std::move(p));
 }
@@ -629,35 +532,23 @@ std::string BenchResults::write(const std::string& dir) const {
   json += "  \"figure\": \"" + obs::json_escape(figure_) + "\",\n";
   json += "  \"title\": \"" + obs::json_escape(title_) + "\",\n";
   {
-    const std::uint64_t events =
-        g_total_events.load(std::memory_order_relaxed);
-    const std::uint64_t wall_ns =
-        g_total_wall_ns.load(std::memory_order_relaxed);
+    std::uint64_t events = 0;
+    double wall_ms = 0;
+    for (const Point& p : points_) {
+      events += p.perf.events;
+      wall_ms += p.perf.wall_ms;
+    }
     json += "  \"host_perf\": {\"events\": " + std::to_string(events);
     json += ", \"wall_ms\": ";
-    append_number(json, static_cast<double>(wall_ns) / 1e6);
+    append_number(json, wall_ms);
     json += ", \"events_per_sec\": ";
-    append_number(json, wall_ns > 0 ? static_cast<double>(events) * 1e9 /
-                                          static_cast<double>(wall_ns)
+    append_number(json, wall_ms > 0 ? static_cast<double>(events) * 1e3 / wall_ms
                                     : 0.0);
     json += ", \"peak_rss_kb\": " + std::to_string(peak_rss_kb());
     json += ", \"threads\": " +
             std::to_string(g_pool_threads.load(std::memory_order_relaxed));
-    json += ", \"shards\": " +
-            std::to_string(g_shards.load(std::memory_order_relaxed));
-    json += ", \"epoch_ns\": " +
-            std::to_string(g_epoch_ns.load(std::memory_order_relaxed));
     json += ", \"resolved_threads\": " +
             std::to_string(g_resolved_threads.load(std::memory_order_relaxed));
-    {
-      std::lock_guard<std::mutex> lk(g_eps_mu);
-      json += ", \"events_per_shard\": [";
-      for (std::size_t i = 0; i < g_events_per_shard.size(); ++i) {
-        if (i > 0) json += ", ";
-        json += std::to_string(g_events_per_shard[i]);
-      }
-      json += "]";
-    }
     json += ", \"cpu_model\": \"" + obs::json_escape(cpu_model()) + "\"";
     json += ", \"nproc\": " +
             std::to_string(std::thread::hardware_concurrency());
@@ -674,7 +565,8 @@ std::string BenchResults::write(const std::string& dir) const {
     json += "\"x\": \"" + obs::json_escape(p.x) + "\", ";
     json += "\"value\": ";
     append_number(json, p.value);
-    json += ", \"unit\": \"" + obs::json_escape(p.unit) + "\",\n";
+    json += ", \"unit\": \"" + obs::json_escape(p.unit) + "\", ";
+    json += "\"events\": " + std::to_string(p.perf.events) + ",\n";
     json += "     \"metrics\": {";
     bool first_metric = true;
     for (const auto& [path, v] : p.metrics) {
@@ -806,53 +698,111 @@ RunReport measure_web_response_us(const StackChoice& stack,
   return finish_run(eng, start, all.mean());
 }
 
-RunReport measure_scale_web_evps(const StackChoice& stack, std::size_t hosts,
-                                 std::size_t shards,
+RunReport measure_scale_web_evps(const StackChoice& stack,
                                  std::size_t requests_per_client) {
-  ScaleWebOptions opt;
-  opt.hosts = hosts;
-  opt.shards = shards;
-  opt.requests_per_client = requests_per_client;
-  ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  return run_sharded(scale, stack);
-}
+  constexpr std::size_t kHosts = 16;  // host 0 serves, the rest request
+  constexpr std::uint32_t kRequestsPerConnection = 8;  // HTTP/1.1 style
+  Engine eng;
+  Cluster cl(eng, sim::calibrated_cost_model(), kHosts, stack.cfg());
+  std::vector<sim::OnlineStats> per_client(kHosts - 1);
 
-RunReport measure_scale_web_hotspot_evps(const StackChoice& stack,
-                                         std::size_t shards,
-                                         std::size_t hot_requests,
-                                         std::size_t cold_requests) {
-  ScaleWebOptions opt;
-  opt.hosts = 16;
-  opt.shards = shards;
-  // Clients 0 and 4 (hosts 1 and 5) carry the hot load — under the
-  // (i + 1) % shards placement both land on one shard at 4 shards.
-  opt.per_client_requests.assign(opt.hosts - 1, cold_requests);
-  opt.per_client_requests[0] = hot_requests;
-  opt.per_client_requests[4] = hot_requests;
-  ScaleWeb scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  RunReport run = run_sharded(scale, stack);
-  // Identical across shard counts (check_hostperf.py gates on it).  The
-  // int64 cast keeps the uint64 bit pattern, so equality is preserved.
-  run.metrics["shard/causal_digest"] =
-      static_cast<std::int64_t>(scale.group().causal_digest());
+  auto server = [&]() -> Task<void> {
+    os::Process proc(cl.node(0).host);
+    apps::WebServerOptions opt;
+    opt.requests_per_connection = kRequestsPerConnection;
+    opt.max_connections =
+        (kHosts - 1) * ((requests_per_client + kRequestsPerConnection - 1) /
+                        kRequestsPerConnection);
+    co_await apps::web_server(proc, pick(cl, 0, stack), opt);
+  };
+  auto client = [&](std::size_t idx) -> Task<void> {
+    // Staggered connects give the accept queue an orderly arrival pattern.
+    co_await eng.delay(10'000 + idx * 700);
+    os::Process proc(cl.node(idx + 1).host);
+    apps::WebClientOptions opt;
+    opt.server_node = 0;
+    opt.response_bytes = 8192;
+    opt.requests_per_connection = kRequestsPerConnection;
+    opt.total_requests = requests_per_client;
+    co_await apps::web_client(proc, pick(cl, idx + 1, stack), opt,
+                              per_client[idx]);
+  };
+  const auto start = arm_run(eng);
+  eng.spawn(server());
+  for (std::size_t i = 0; i + 1 < kHosts; ++i) eng.spawn(client(i));
+  eng.run();
+  RunReport run = finish_run(eng, start, 0);
+  run.value = run.perf.events_per_sec;
   return run;
 }
 
 RunReport measure_scale_c10k_reqps(const StackChoice& stack, bool ring,
-                                   std::size_t connections_per_host,
-                                   std::size_t shards,
-                                   std::size_t reap_batch) {
-  ScaleC10kOptions opt;
-  opt.ring_server = ring;
-  opt.connections_per_host = connections_per_host;
-  opt.shards = shards;
-  opt.reap_batch = reap_batch;
-  ScaleC10k scale(sim::calibrated_cost_model(), stack.cfg(), opt);
-  RunReport run = run_sharded(scale, stack);
+                                   std::size_t connections_per_host) {
+  constexpr std::size_t kClientHosts = 3;  // hosts 1..3 each run many conns
+  constexpr std::uint32_t kRequestsPerConnection = 2;
+  const std::size_t total = kClientHosts * connections_per_host;
+  Engine eng;
+  Cluster cl(eng, sim::calibrated_cost_model(), kClientHosts + 1,
+             stack.cfg());
+  std::vector<sim::OnlineStats> per_conn(total);
+
+  auto server = [&]() -> Task<void> {
+    os::Process proc(cl.node(0).host);
+    apps::WebServerOptions opt;
+    opt.requests_per_connection = kRequestsPerConnection;
+    opt.max_connections = total;
+    // A thousand near-simultaneous SYNs against a small backlog turn into
+    // a retransmission storm of refused and retried connects; like a tuned
+    // C10K listener (somaxconn-style), the window fits the arrival burst.
+    opt.backlog = 1024;
+    opt.reap_batch = 64;
+    if (ring) {
+      co_await apps::web_server_ring(proc, pick(cl, 0, stack), opt);
+    } else {
+      co_await apps::web_server(proc, pick(cl, 0, stack), opt);
+    }
+  };
+  auto conn = [&](std::size_t host, std::size_t c) -> Task<void> {
+    // Near-simultaneous arrivals, 50 ns apart: the whole population
+    // overlaps, so the server really holds ~`total` live connections.
+    const std::size_t idx = (host - 1) * connections_per_host + c;
+    co_await eng.delay(10'000 + idx * 50);
+    os::Process proc(cl.node(host).host);
+    apps::WebClientOptions opt;
+    opt.server_node = 0;
+    opt.response_bytes = 256;
+    opt.requests_per_connection = kRequestsPerConnection;
+    opt.total_requests = kRequestsPerConnection;  // one connection
+    // A thousand simultaneous SYNs can outlast EMP's retransmission
+    // give-up against a finite backlog; like any C10K client, back off
+    // and retry a refused connect (deterministic, idx-jittered delays).
+    for (int attempt = 0;; ++attempt) {
+      bool retry = false;
+      try {
+        co_await apps::web_client(proc, pick(cl, host, stack), opt,
+                                  per_conn[idx]);
+      } catch (const os::SocketError& e) {
+        if (e.code() != os::SockErr::kRefused || attempt >= 6) throw;
+        retry = true;  // co_await is illegal inside a handler
+      }
+      if (!retry) break;
+      co_await eng.delay(100'000 * (attempt + 1) + idx * 131);
+    }
+  };
+  const auto start = arm_run(eng);
+  eng.spawn(server());
+  for (std::size_t h = 1; h <= kClientHosts; ++h) {
+    for (std::size_t c = 0; c < connections_per_host; ++c) {
+      eng.spawn(conn(h, c));
+    }
+  }
+  eng.run();
+  RunReport run = finish_run(eng, start, 0);
+  std::size_t served = 0;
+  for (const auto& st : per_conn) served += st.count();
   // The measured quantity: application requests served per wall second.
   run.value = run.perf.wall_ms > 0
-                  ? static_cast<double>(scale.requests_served()) * 1e3 /
-                        run.perf.wall_ms
+                  ? static_cast<double>(served) * 1e3 / run.perf.wall_ms
                   : 0.0;
   return run;
 }

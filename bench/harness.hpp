@@ -108,43 +108,40 @@ void set_trace_export(std::string path);
 ///   --trace F    export a Chrome trace of the first run to F
 ///   --out DIR    directory for BENCH_<figure>.json (default ".")
 ///   --threads N  run_points() pool size (0 = auto: hardware threads, <= 8)
-///   --shards N   shard count for sharded scenarios (0 = scenario default)
 struct BenchOptions {
   int iters = 0;  // 0: the figure's default
   std::string trace_path;
   std::string out_dir = ".";
   unsigned threads = 0;  // 0: auto
-  unsigned shards = 0;   // 0: each scenario picks its own
 
   [[nodiscard]] int iters_or(int dflt) const { return iters > 0 ? iters : dflt; }
   /// Pool size for run_points(): --threads, or the auto default.
   [[nodiscard]] unsigned resolved_threads() const;
-  /// Shard count for sharded scenarios: --shards, or `dflt`.
-  [[nodiscard]] std::size_t shards_or(std::size_t dflt) const {
-    return shards > 0 ? shards : dflt;
-  }
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
 
 /// Machine-readable bench results.  add() records one measured point from
-/// the RunReport that produced it (value and metrics snapshot); write()
-/// emits
+/// the RunReport that produced it (value, event count and metrics
+/// snapshot); write() emits
 ///
 ///   {
 ///     "schema": "ulsocks.bench.v1",
 ///     "figure": "<figure>", "title": "<title>",
 ///     "host_perf": {"events": 12345, "wall_ms": 67.8,
 ///                   "events_per_sec": 1.8e6, "peak_rss_kb": 34567,
-///                   "threads": 4},
+///                   "threads": 4, "resolved_threads": 4,
+///                   "cpu_model": "...", "nproc": 4},
 ///     "points": [{"series", "stack", "config", "x", "value", "unit",
+///                 "events": 4567,
 ///                 "metrics": {"h0/emp/data_frames_tx": 123, ...}}, ...]
 ///   }
 ///
-/// host_perf aggregates every run of the process so far: total events,
-/// summed per-run wall time (across pool threads when parallel), and peak
-/// RSS — the "how fast is the simulator itself" record that
-/// scripts/check_hostperf.py gates on.  Plots and regression checks read
-/// this file and never scrape the human tables.
+/// host_perf sums the recorded points' reports (events and per-run wall
+/// time, across pool threads when parallel) and adds the process's peak
+/// RSS and machine: the "how fast is the simulator itself" record.  A
+/// point's events and metrics are simulated quantities, identical on any
+/// machine; scripts/check_hostperf.py compares them exactly.  Plots and
+/// regression checks read this file and never scrape the human tables.
 class BenchResults {
  public:
   BenchResults(std::string figure, std::string title);
@@ -170,6 +167,7 @@ class BenchResults {
     std::string x;
     double value;
     std::string unit;
+    HostPerf perf;
     std::map<std::string, std::int64_t> metrics;
   };
   std::string figure_;
@@ -229,38 +227,23 @@ class BenchResults {
                                                    std::size_t total_bytes,
                                                    bool dual_cpu);
 
-/// Host events/sec of the many-host sharded web workload (bench/scale.hpp):
-/// 1 server + (hosts-1) clients on a star, partitioned over `shards`
-/// engines stepped serially.  The simulated result is shard-count
-/// invariant.  The report's metrics are the merged cross-shard snapshot
-/// and its perf.events the aggregate event count.
+/// Host events/sec of the many-host web workload: one web server plus 15
+/// HTTP/1.1 clients (8 requests per connection, 8 KB responses) on a
+/// 16-host star, each client issuing `requests_per_client` requests.
 [[nodiscard]] RunReport measure_scale_web_evps(const StackChoice& stack,
-                                               std::size_t hosts,
-                                               std::size_t shards,
                                                std::size_t requests_per_client);
 
-/// Host events/sec of the skewed ("hotspot") 16-host web workload: two
-/// hosts carry ~80% of the request traffic, so the static (i + 1) % shards
-/// placement leaves one shard much hotter than the rest.  The report's
-/// metrics additionally carry "shard/causal_digest" (bit-cast to int64) —
-/// identical across shard counts — next to the group's shard/epochs and
-/// shard/imbalance gauges.
-[[nodiscard]] RunReport measure_scale_web_hotspot_evps(
-    const StackChoice& stack, std::size_t shards, std::size_t hot_requests,
-    std::size_t cold_requests);
-
-/// Served requests per wall-clock second of the C10K concurrency workload
-/// (bench/scale.hpp ScaleC10k): 3 client hosts x `connections_per_host`
-/// simultaneous connections against one server, ring (`ring = true`) or
-/// blocking.  Requests-per-second, not events-per-second, is the gated
-/// quantity: the ring server exists to do the same application work with
-/// FEWER engine events (one parked pump instead of a per-connection
-/// thundering herd), so comparing evps would reward the wasteful server.
-/// The report's metrics are the merged snapshot including the
-/// ring/batch_size, ring/reap_wait_ns and ring/sqe_inflight instruments.
+/// Served requests per wall-clock second of the C10K concurrency workload:
+/// 3 client hosts x `connections_per_host` near-simultaneous connections
+/// (2 requests each, 256-byte responses) against one server, ring
+/// (`ring = true`, reap batch 64) or blocking.  The ring server exists to
+/// do the same application work with FEWER engine events (one parked pump
+/// instead of a per-connection thundering herd), so its perf.events, not
+/// its events/sec, is what scripts/check_hostperf.py compares against the
+/// blocking server's.  The report's metrics include the ring/batch_size,
+/// ring/reap_wait_ns and ring/sqe_inflight instruments.
 [[nodiscard]] RunReport measure_scale_c10k_reqps(
-    const StackChoice& stack, bool ring, std::size_t connections_per_host,
-    std::size_t shards = 1, std::size_t reap_batch = 64);
+    const StackChoice& stack, bool ring, std::size_t connections_per_host);
 
 /// Pretty size label ("4", "1K", "64K").
 [[nodiscard]] std::string size_label(std::size_t bytes);

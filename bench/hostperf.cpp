@@ -1,17 +1,20 @@
 // Host performance of the simulator itself: wall-clock events/sec on the
-// fig13 microbench workloads, plus a raw engine churn loop.
+// fig13 microbench workloads, a many-host web workload, C10K ring-vs-
+// blocking, plus a raw engine churn loop.
 //
-// Unlike every other bench, the value here is NOT a simulated quantity —
-// it is how fast this build of the simulator executes on the host.  The
-// committed baseline (bench/baselines/BENCH_hostperf.json) is the
-// regression gate: scripts/check_hostperf.py fails the build if any
-// events/sec point drops more than 25% below it.
+// Two kinds of number come out.  Each point's event count and registry
+// snapshot are simulated quantities, identical on every machine and every
+// run: scripts/check_hostperf.py compares them exactly against the
+// committed `--iters 3` recording (bench/baselines/hostperf_iters3.json),
+// and requires the ring C10K server to run fewer events than the blocking
+// one on identical traffic.  The Mev/s and wall_ms columns are how fast
+// this build ran on this host; they are printed, not gated here — the
+// calibrated wall-clock judge is perfbench/.
 //
 // Methodology: each scenario runs `reps` times and records the best
-// events/sec (best-of-N is robust against scheduler noise on shared CI
-// hosts; medians still drift when the whole host is loaded).  The
-// simulated results of every rep are identical — the engine is
-// deterministic — so best-of changes only the wall-clock estimate.
+// events/sec (best-of-N is robust against scheduler noise on shared
+// hosts).  The simulated results of every rep are identical — the engine
+// is deterministic — so best-of changes only the wall-clock estimate.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -71,7 +74,7 @@ int main(int argc, char** argv) {
 
   const BenchOptions opt = parse_bench_args(argc, argv);
   // Smoke runs (--iters N) shrink every scenario so CI stays fast; the
-  // committed baseline is recorded with the full defaults.
+  // committed exact reference is an --iters 3 recording.
   const bool smoke = opt.iters > 0;
   const int reps = 3;
 
@@ -89,10 +92,6 @@ int main(int argc, char** argv) {
   // memory of a thousand live connections bounded (credits=4 is the
   // paper's web-server setting).
   const std::size_t c10k_conns = smoke ? 8 : 334;
-  // Hotspot skew: two hosts carry ~80% of the request traffic
-  // (2 x hot vs 13 x cold).
-  const std::size_t hot_requests = smoke ? 16 : 240;
-  const std::size_t cold_requests = smoke ? 2 : 9;
   sockets::SubstrateConfig c10k_cfg = sockets::preset("ds_da_uq").cfg;
   c10k_cfg.credits = 4;
   c10k_cfg.buffer_bytes = 2048;
@@ -117,54 +116,20 @@ int main(int argc, char** argv) {
        [&] { return measure_ftp_mbps(ds, ftp_bytes); }},
       {"emp_bw_64K", &emp, "64K",
        [&] { return measure_bandwidth_mbps(emp, 65536, bw_total); }},
-      // The same 16-host web workload on one engine and partitioned over
-      // 4 shards.  The simulated result is identical; the events/sec ratio
-      // between the two points is the cost of the epoch schedule.
-      {"scale_web_16hosts", &ds, "1shard",
-       [&] { return measure_scale_web_evps(ds, 16, 1, scale_requests); }},
-      {"scale_web_16hosts", &ds, "4shards",
-       [&] {
-         return measure_scale_web_evps(ds, 16, opt.shards_or(4),
-                                       scale_requests);
-       }},
-      // Skewed ("hotspot") web workload: hosts 1 and 5 carry ~80% of the
-      // traffic, and at 4 shards the static (i + 1) % shards placement
-      // parks both on one shard.  check_hostperf.py asserts the causal
-      // digests of the 1-, 2- and 4-shard points match.
-      {"scale_web_hotspot", &ds, "1shard",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, 1, hot_requests,
-                                               cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "2shards",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, 2, hot_requests,
-                                               cold_requests);
-       }},
-      {"scale_web_hotspot", &ds, "4shards_static",
-       [&] {
-         return measure_scale_web_hotspot_evps(ds, opt.shards_or(4),
-                                               hot_requests, cold_requests);
-       }},
+      // One web server and 15 HTTP/1.1 clients on a 16-host star.
+      {"scale_web_16hosts", &ds, "http11",
+       [&] { return measure_scale_web_evps(ds, scale_requests); }},
       // C10K ring-vs-blocking: identical traffic (~1000 simultaneous
-      // connections), two servers.  The gated quantity is requests served
-      // per wall second — the ring's point is doing the same application
-      // work with fewer engine events (one parked pump vs a thundering
-      // herd), so events/sec would reward the blocking server's waste.
-      // check_hostperf.py asserts ring >= blocking.
+      // connections), two servers.  The ring's point is doing the same
+      // application work with fewer engine events (one parked pump vs a
+      // thundering herd), so the value is requests served per wall second
+      // — events/sec would reward the blocking server's waste — and
+      // check_hostperf.py requires ring events < blocking events.
       {"scale_c10k", &c10k, "ring",
        [&] { return measure_scale_c10k_reqps(c10k, true, c10k_conns); },
        "reqps"},
       {"scale_c10k", &c10k, "blocking",
        [&] { return measure_scale_c10k_reqps(c10k, false, c10k_conns); },
-       "reqps"},
-      // The ring server composes with the sharded engine: same workload
-      // partitioned over 4 shards.
-      {"scale_c10k", &c10k, "ring_4shards",
-       [&] {
-         return measure_scale_c10k_reqps(c10k, true, c10k_conns,
-                                         opt.shards_or(4));
-       },
        "reqps"},
   };
 

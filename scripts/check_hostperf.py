@@ -1,224 +1,144 @@
 #!/usr/bin/env python3
-"""Gate simulator host throughput against the committed baseline.
+"""Judge a BENCH_hostperf.json exactly against the committed recording.
 
-Compares the wall-clock throughput points — events/sec ("evps") and the
-C10K workload's requests/sec ("reqps") — of a freshly produced
-BENCH_hostperf.json with bench/baselines/BENCH_hostperf.json and fails if
-any scenario regressed by more than the allowed fraction (default 25%).
+Every hostperf point carries two simulated quantities: its engine event
+count ("events") and its full registry snapshot ("metrics", including the
+host/bytes_copied tally of the zero-copy data path).  Both are pure
+functions of the workload, identical on every machine, build type and
+run, so the judge compares them for exact equality with
+bench/baselines/hostperf_iters3.json, a `hostperf --iters 3` recording:
 
-The threshold is deliberately loose: the baseline is recorded on one
-machine and CI runs on another, so this catches "someone made the hot path
-2x slower", not single-digit drift.
+  - a point missing from the run, or one the recording lacks, fails;
+  - a point whose event count or any metric differs fails, naming the
+    first differing keys;
+  - the C10K ring server must run fewer events than the blocking server
+    on identical traffic (scale_c10k/ring vs scale_c10k/blocking): the
+    completion ring exists to replace the blocking server's thundering
+    herd with one parked pump.
 
-A baseline scenario missing from the current run is an ERROR (a silently
-dropped workload is how perf gates rot); pass --allow-missing while a
-scenario is being intentionally retired.  Scenarios present only in the
-current run are reported with the baseline-refresh command but do not fail
-the gate — the refreshed baseline then gates them from the next run on.
+Wall-clock numbers (the points' evps/reqps values, host_perf) are not
+judged here: they depend on the machine.  perfbench/ is the calibrated
+wall-clock judge.
 
-Beyond wall-clock, the per-scenario `host/bytes_copied` counter is gated
-too: it is deterministic (a pure function of the workload), so the current
-value may not exceed the baseline by more than 10% — that would mean a
-copy crept back into the zero-copy data path.
+Usage: check_hostperf.py CURRENT [REFERENCE]
+  CURRENT    BENCH_hostperf.json from `hostperf --iters 3`
+  REFERENCE  committed recording (default bench/baselines/hostperf_iters3.json)
 
-The C10K scenario has a structural gate of its own: scale_c10k records the
-same ~1000-connection traffic served by the ring server (one parked reap
-pump) and the blocking server (one parked coroutine per connection), and
-the ring point must serve at least as many requests per wall second as the
-blocking point — the batched submit/reap API exists to beat the thundering
-herd, so losing to it is a regression in the ring path, not noise.  Both
-points run on one engine, so the gate applies on every host.
+A deliberate change to what a workload simulates moves the recording;
+refresh it from a run of the changed tree and commit it with the change:
 
-Each evps point that carries a "shard/epochs" metric has that count
-printed, so a change in the epoch schedule shows in the log.
+  ./build/bench/hostperf --iters 3 --out /tmp/hp
+  python3 -c 'import sys; sys.path.insert(0, "scripts");
+import check_hostperf as c;
+c.write_reference(sys.argv[1], c.DEFAULT_REFERENCE)' /tmp/hp/BENCH_hostperf.json
 
-The scale_web_hotspot series (a skewed web workload at 1, 2 and 4
-shards) gates determinism: the causal digest must be identical on every
-point, since the shard count may split the work, never change it.
-
-Before judging, the machine of the current run and of the baseline (CPU
-model, nproc, resolved_threads) are printed, so a ratio can be read
-against the hardware that produced it.  Recordings that predate the
-fingerprint print "unknown".
-
-Usage: check_hostperf.py CURRENT [BASELINE] [--min-ratio R] [--allow-missing]
-  CURRENT    BENCH_hostperf.json from the build under test
-  BASELINE   committed reference (default bench/baselines/BENCH_hostperf.json)
-  R          minimum allowed current/baseline ratio (default 0.75)
+Then say in the commit which points moved and why.
 """
 
 import json
 import os
 import sys
 
-DEFAULT_BASELINE = os.path.join(
+DEFAULT_REFERENCE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
-    os.pardir, "bench", "baselines", "BENCH_hostperf.json",
+    os.pardir, "bench", "baselines", "hostperf_iters3.json",
 )
-DEFAULT_MIN_RATIO = 0.75
-# bytes_copied is deterministic per workload; allow slack only for
-# smoke-vs-full sizing mistakes to surface loudly, not for drift.
-BYTES_COPIED_MAX_RATIO = 1.10
-# The completion-ring server must at least match the blocking server on
-# identical C10K traffic (requests per wall second).
 C10K_SERIES = "scale_c10k"
-# Skewed workload at several shard counts: the causal digest must match.
-HOTSPOT_SERIES = "scale_web_hotspot"
+# Differing metric keys printed per failing point.
+MAX_KEYS_SHOWN = 8
 
 
-def evps_points(path):
-    """(series, x) -> (value, bytes_copied or None, epochs or None, metrics).
-
-    Covers every wall-clock throughput unit: simulator events/sec ("evps")
-    and the C10K scenarios' application requests/sec ("reqps") — both gate
-    identically against the baseline.
-    """
+def load_points(path):
+    """(series, x) -> (events, metrics) of a bench JSON or a recording."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    points = {}
-    for p in doc.get("points", []):
-        if p.get("unit") in ("evps", "reqps"):
-            metrics = p.get("metrics", {})
-            copied = metrics.get("host/bytes_copied")
-            epochs = metrics.get("shard/epochs")
-            points[(p["series"], p["x"])] = (
-                float(p["value"]), copied, epochs, metrics)
-    return points
+    return {(p["series"], p["x"]): (p["events"], p["metrics"])
+            for p in doc["points"]}
 
 
-def host_perf(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    return doc.get("host_perf", {})
+def write_reference(current_path, reference_path):
+    """Record the judged quantities of `current_path` at `reference_path`."""
+    points = load_points(current_path)
+    doc = {
+        "recorded_with": "hostperf --iters 3",
+        "points": [{"series": s, "x": x, "events": events, "metrics": metrics}
+                   for (s, x), (events, metrics) in sorted(points.items())],
+    }
+    with open(reference_path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
-def print_machine(label, path):
-    """One line naming the machine a recording came from."""
-    hp = host_perf(path)
-    fields = [(name, hp.get(name, "unknown"))
-              for name in ("cpu_model", "nproc", "resolved_threads")]
-    print(f"machine {label:<8} " +
-          "  ".join(f"{name}={value}" for name, value in fields))
-
-
-def check_c10k_ring(current):
-    """Ring server must serve >= the blocking server's reqps."""
-    ring = current.get((C10K_SERIES, "ring"))
-    blocking = current.get((C10K_SERIES, "blocking"))
-    if ring is None or blocking is None:
-        return []
-    ratio = ring[0] / blocking[0] if blocking[0] > 0 else float("inf")
-    status = "OK " if ratio >= 1.0 else "FAIL"
-    print(f"{status} {C10K_SERIES:<16} ring/blocking reqps ratio {ratio:5.2f} "
-          f"(required >= 1.00)")
-    if ratio < 1.0:
-        return [(C10K_SERIES, "ring-vs-blocking", ratio)]
-    return []
-
-
-def check_hotspot_digest(current):
-    """The causal digest must be identical on every scale_web_hotspot point.
-
-    The 1/2/4-shard points run the same workload, so any divergence means
-    the sharded engine changed the simulation.  Deterministic: applies on
-    any host.
-    """
+def compare_point(name, current, reference):
+    """Failure messages for one point present in both recordings."""
+    (events, metrics), (ref_events, ref_metrics) = current, reference
     failures = []
-    hotspot = {x: v for (series, x), v in current.items()
-               if series == HOTSPOT_SERIES}
-    if not hotspot:
-        return []
-    digests = {x: m.get("shard/causal_digest")
-               for x, (_, _, _, m) in hotspot.items()}
-    known = {x: d for x, d in digests.items() if d is not None}
-    if len(set(known.values())) > 1:
-        print(f"FAIL {HOTSPOT_SERIES:<16} causal digests diverge across "
-              f"points: {known}")
-        failures.append((HOTSPOT_SERIES, "digest-parity", 0.0))
-    elif known:
-        print(f"OK   {HOTSPOT_SERIES:<16} causal digest identical on "
-              f"{len(known)} point(s)")
-    for x, d in digests.items():
-        if d is None:
-            print(f"FAIL {HOTSPOT_SERIES:<16} x={x:<14} missing "
-                  "shard/causal_digest metric")
-            failures.append((HOTSPOT_SERIES, x + "-digest-missing", 0.0))
+    if events != ref_events:
+        failures.append(f"{name}: events {events} != recorded {ref_events}")
+    differing = sorted(k for k in set(metrics) | set(ref_metrics)
+                       if metrics.get(k) != ref_metrics.get(k))
+    for k in differing[:MAX_KEYS_SHOWN]:
+        failures.append(f"{name}: {k} = {metrics.get(k, 'missing')}, "
+                        f"recorded {ref_metrics.get(k, 'missing')}")
+    if len(differing) > MAX_KEYS_SHOWN:
+        failures.append(f"{name}: ... {len(differing) - MAX_KEYS_SHOWN} "
+                        "more differing metrics")
     return failures
 
 
-def print_epochs(current):
-    """Print the "shard/epochs" count of every evps point that recorded one."""
-    for (series, x), (_, _, epochs, _) in sorted(current.items()):
-        if epochs is not None:
-            print(f"     {series:<16} x={x:<14} shard/epochs {epochs}")
+def check_c10k_ring(current):
+    """The ring server must run fewer events than the blocking server."""
+    ring = current.get((C10K_SERIES, "ring"))
+    blocking = current.get((C10K_SERIES, "blocking"))
+    if ring is None or blocking is None:
+        return [f"{C10K_SERIES}: ring and blocking points are both required"]
+    if ring[0] >= blocking[0]:
+        return [f"{C10K_SERIES}: ring events {ring[0]} >= blocking events "
+                f"{blocking[0]} on identical traffic"]
+    print(f"OK   {C10K_SERIES}: ring events {ring[0]} < blocking "
+          f"{blocking[0]}")
+    return []
 
 
 def main(argv):
-    allow_missing = "--allow-missing" in argv
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    min_ratio = DEFAULT_MIN_RATIO
-    for i, a in enumerate(argv):
-        if a == "--min-ratio":
-            min_ratio = float(argv[i + 1])
-            args = [x for x in args if x != argv[i + 1]]
-    if not args:
+    args = argv[1:]
+    if not args or len(args) > 2 or any(a.startswith("-") for a in args):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     current_path = args[0]
-    baseline_path = args[1] if len(args) > 1 else DEFAULT_BASELINE
+    reference_path = args[1] if len(args) > 1 else DEFAULT_REFERENCE
+    recordings = {}
+    for label, path in (("current run", current_path),
+                        ("recording", reference_path)):
+        try:
+            recordings[label] = load_points(path)
+        except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
+            print(f"ERROR: cannot read {label} {path}: {e}", file=sys.stderr)
+            return 1
+    current, reference = recordings["current run"], recordings["recording"]
 
-    try:
-        current = evps_points(current_path)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"ERROR: cannot read current results {current_path}: {e}",
-              file=sys.stderr)
-        return 1
-    try:
-        baseline = evps_points(baseline_path)
-    except (OSError, json.JSONDecodeError, KeyError) as e:
-        print(f"WARNING: no usable baseline at {baseline_path} ({e}); "
-              "skipping the host-perf gate", file=sys.stderr)
-        return 0
-
-    print_machine("current", current_path)
-    print_machine("baseline", baseline_path)
     failures = []
-    for key, (base, base_copied, _, _) in sorted(baseline.items()):
-        series, x = key
+    for key in sorted(set(current) | set(reference)):
+        name = "/".join(key)
         if key not in current:
-            msg = f"scenario {series}/{x} missing from current run"
-            if allow_missing:
-                print(f"WARNING: {msg} (--allow-missing)")
-            else:
-                print(f"FAIL {msg}")
-                failures.append((series, x, 0.0))
-            continue
-        cur, cur_copied, _, _ = current[key]
-        ratio = cur / base if base > 0 else float("inf")
-        status = "OK " if ratio >= min_ratio else "FAIL"
-        print(f"{status} {series:<16} x={x:<12} "
-              f"baseline {base / 1e6:8.2f} Mev/s   "
-              f"current {cur / 1e6:8.2f} Mev/s   ratio {ratio:5.2f}")
-        if ratio < min_ratio:
-            failures.append((series, x, ratio))
-        if (base_copied and cur_copied is not None
-                and cur_copied > base_copied * BYTES_COPIED_MAX_RATIO):
-            print(f"FAIL {series:<16} x={x:<12} host/bytes_copied "
-                  f"{cur_copied} exceeds baseline {base_copied} by more "
-                  f"than {(BYTES_COPIED_MAX_RATIO - 1) * 100:.0f}%")
-            failures.append((series, x, cur_copied / base_copied))
-    for key in sorted(set(current) - set(baseline)):
-        print(f"NOTE: new scenario {key[0]}/{key[1]} has no baseline; "
-              f"refresh with: cp {current_path} {baseline_path}")
+            failures.append(f"{name}: recorded point missing from the run")
+        elif key not in reference:
+            failures.append(f"{name}: point has no recording")
+        else:
+            point_failures = compare_point(name, current[key], reference[key])
+            if not point_failures:
+                print(f"OK   {name}: {current[key][0]} events, "
+                      f"{len(current[key][1])} metrics equal")
+            failures.extend(point_failures)
     failures.extend(check_c10k_ring(current))
-    failures.extend(check_hotspot_digest(current))
-    print_epochs(current)
 
+    for f in failures:
+        print(f"FAIL {f}")
     if failures:
-        print(f"\nERROR: {len(failures)} host-perf gate failure(s)",
-              file=sys.stderr)
+        print(f"\nERROR: {len(failures)} host-perf judge failure(s) against "
+              f"{reference_path}", file=sys.stderr)
         return 1
-    print("host-perf gate passed")
+    print("host-perf judge passed")
     return 0
 
 

@@ -8,18 +8,13 @@ Checks the ulsocks.bench.v1 schema without third-party dependencies:
     "figure": str, "title": str,
     "host_perf": {"events": int, "wall_ms": number,          # optional
                   "events_per_sec": number, "peak_rss_kb": int,
-                  "threads": int,
-                  # shard/thread configuration of the process's runs:
-                  # largest shard count used, the epoch window (lookahead,
-                  # simulated ns) of the sharded runs, and the worker
-                  # thread count the sharded runs actually used after
-                  # clamping to the hardware.
-                  "shards": int, "epoch_ns": int,
-                  "resolved_threads": int,
+                  # run_points() pool width used, and what --threads
+                  # resolved to:
+                  "threads": int, "resolved_threads": int,
                   # optional machine fingerprint (older files lack it):
                   "cpu_model": str, "nproc": int},
     "points": [{"series": str, "stack": str, "config": str, "x": str,
-                "value": number, "unit": str,
+                "value": number, "unit": str, "events": int,
                 "metrics": {str: int, ...}}, ...]
   }
 
@@ -37,6 +32,7 @@ POINT_FIELDS = {
     "config": str,
     "x": str,
     "unit": str,
+    "events": int,
     "metrics": dict,
 }
 STACKS = {"substrate", "tcp", "emp", "sim"}
@@ -46,8 +42,6 @@ HOST_PERF_FIELDS = {
     "events_per_sec": (int, float),
     "peak_rss_kb": int,
     "threads": int,
-    "shards": int,
-    "epoch_ns": int,
     "resolved_threads": int,
 }
 # Machine fingerprint: checked when present, absent from older recordings.
@@ -103,7 +97,9 @@ def validate(path):
             err(f"{where} is not an object")
             continue
         for field, ftype in POINT_FIELDS.items():
-            if not isinstance(p.get(field), ftype):
+            if not isinstance(p.get(field), ftype) or isinstance(
+                p.get(field), bool
+            ):
                 err(f"{where}.{field} missing or not {ftype.__name__}")
         if not isinstance(p.get("value"), (int, float)) or isinstance(
             p.get("value"), bool
@@ -119,17 +115,12 @@ def validate(path):
                     break
             # Every run registers the global host-copy tally; a point
             # without it came from an engine that bypassed the registry
-            # snapshot and would silently escape the zero-copy gate.
+            # snapshot and whose host-copy tally would go unrecorded.
             if "host/bytes_copied" not in metrics:
                 err(f"{where}.metrics missing required 'host/bytes_copied'")
-            # Sharded runs (anything that recorded an epoch count) must
-            # also carry the per-shard load skew.
-            if "shard/epochs" in metrics and "shard/imbalance" not in metrics:
-                err(f"{where}.metrics missing required "
-                    "'shard/imbalance' on sharded point")
             # Ring scenarios (x starting with "ring") must carry the
             # OpRing instruments — a ring point without them ran the
-            # blocking server by mistake and the ring-vs-blocking gate
+            # blocking server by mistake and the ring-vs-blocking check
             # would silently compare blocking against blocking.
             if isinstance(p.get("x"), str) and p["x"].startswith("ring"):
                 for path_prefix in (

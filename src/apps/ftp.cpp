@@ -1,6 +1,7 @@
 #include "apps/ftp.hpp"
 
 #include <charconv>
+#include <string_view>
 #include <vector>
 
 #include "oskernel/socket_api.hpp"
@@ -37,11 +38,19 @@ Task<std::string> read_line_buffered(os::Process& proc, int fd,
   }
 }
 
-Task<void> write_line(os::Process& proc, int fd, std::string line) {
-  line += "\r\n";
+/// Send `line` + CRLF from `out`, the connection's line buffer (reserved
+/// with kFtpLineBufferBytes).  Zero-copy sockets pin the buffer a write
+/// hands them, and the translation cache keys pins by address: one buffer
+/// per connection keeps that address fixed, where a fresh string per line
+/// would land wherever host allocator history puts it and make pin hits —
+/// and simulated time — vary between processes.
+Task<void> write_line(os::Process& proc, int fd, std::string& out,
+                      std::string_view line) {
+  out.assign(line);
+  out += "\r\n";
   co_await proc.write_all(
-      fd, std::span(reinterpret_cast<const std::uint8_t*>(line.data()),
-                    line.size()));
+      fd, std::span(reinterpret_cast<const std::uint8_t*>(out.data()),
+                    out.size()));
 }
 
 /// Parse "<word> <rest>" into the command word and argument.
@@ -96,7 +105,9 @@ Task<std::uint64_t> receive_file(os::Process& proc, int sock_fd, int file_fd,
 
 Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl,
                          const FtpServerOptions& options) {
-  co_await write_line(proc, ctrl, "220 ulsocks ftp ready");
+  std::string out;
+  out.reserve(kFtpLineBufferBytes);
+  co_await write_line(proc, ctrl, out, "220 ulsocks ftp ready");
   SockAddr data_addr{};
   bool have_port = false;
   std::string pending;
@@ -107,21 +118,21 @@ Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl,
     if (cmd == "PORT") {
       if (parse_port_arg(arg, &data_addr)) {
         have_port = true;
-        co_await write_line(proc, ctrl, "200 PORT command successful");
+        co_await write_line(proc, ctrl, out, "200 PORT command successful");
       } else {
-        co_await write_line(proc, ctrl, "501 bad PORT argument");
+        co_await write_line(proc, ctrl, out, "501 bad PORT argument");
       }
     } else if (cmd == "RETR" || cmd == "STOR") {
       if (!have_port) {
-        co_await write_line(proc, ctrl, "503 use PORT first");
+        co_await write_line(proc, ctrl, out, "503 use PORT first");
         continue;
       }
       bool retr = cmd == "RETR";
       if (retr && !proc.host().fs().exists(arg)) {
-        co_await write_line(proc, ctrl, "550 no such file");
+        co_await write_line(proc, ctrl, out, "550 no such file");
         continue;
       }
-      co_await write_line(proc, ctrl, "150 opening data connection");
+      co_await write_line(proc, ctrl, out, "150 opening data connection");
       // Active mode: the server dials the client's data port.  Bulk-
       // transfer sockets get large buffers, as era ftp daemons configured
       // (a no-op on the substrate, which has its own credit buffers).
@@ -139,13 +150,13 @@ Task<void> serve_session(os::Process& proc, os::SocketApi& stack, int ctrl,
         co_await proc.close(file);
       }
       co_await proc.close(data);
-      co_await write_line(proc, ctrl, "226 transfer complete");
+      co_await write_line(proc, ctrl, out, "226 transfer complete");
       have_port = false;
     } else if (cmd == "QUIT") {
-      co_await write_line(proc, ctrl, "221 goodbye");
+      co_await write_line(proc, ctrl, out, "221 goodbye");
       break;
     } else {
-      co_await write_line(proc, ctrl, "502 command not implemented");
+      co_await write_line(proc, ctrl, out, "502 command not implemented");
     }
   }
   co_await proc.close(ctrl);
@@ -193,11 +204,11 @@ sim::Task<FtpTransfer> FtpClient::get(std::string remote_path,
   co_await proc_.listen(dls, 1);
 
   std::uint16_t self = proc_.host().id();
-  co_await write_line(proc_, control_fd_,
+  co_await write_line(proc_, control_fd_, line_out_,
                       "PORT " + std::to_string(self) + " " +
                           std::to_string(port));
   co_await expect_reply(proc_, control_fd_, reply_pending_, "200");
-  co_await write_line(proc_, control_fd_, "RETR " + remote_path);
+  co_await write_line(proc_, control_fd_, line_out_, "RETR " + remote_path);
   co_await expect_reply(proc_, control_fd_, reply_pending_, "150");
 
   int data = co_await proc_.accept(dls);
@@ -221,11 +232,11 @@ sim::Task<FtpTransfer> FtpClient::put(std::string local_path,
   co_await proc_.listen(dls, 1);
 
   std::uint16_t self = proc_.host().id();
-  co_await write_line(proc_, control_fd_,
+  co_await write_line(proc_, control_fd_, line_out_,
                       "PORT " + std::to_string(self) + " " +
                           std::to_string(port));
   co_await expect_reply(proc_, control_fd_, reply_pending_, "200");
-  co_await write_line(proc_, control_fd_, "STOR " + remote_path);
+  co_await write_line(proc_, control_fd_, line_out_, "STOR " + remote_path);
   co_await expect_reply(proc_, control_fd_, reply_pending_, "150");
 
   int data = co_await proc_.accept(dls);
@@ -241,7 +252,7 @@ sim::Task<FtpTransfer> FtpClient::put(std::string local_path,
 }
 
 sim::Task<void> FtpClient::quit() {
-  co_await write_line(proc_, control_fd_, "QUIT");
+  co_await write_line(proc_, control_fd_, line_out_, "QUIT");
   co_await expect_reply(proc_, control_fd_, reply_pending_, "221");
   co_await proc_.close(control_fd_);
   control_fd_ = -1;

@@ -13,6 +13,7 @@
 // between the data *socket* and the local *file*.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -23,6 +24,9 @@
 namespace ulsocks::apps {
 
 inline constexpr std::uint16_t kFtpControlPort = 21;
+/// Capacity reserved for a control connection's outgoing line buffer;
+/// a longer line still goes out, but moves the buffer.
+inline constexpr std::size_t kFtpLineBufferBytes = 1024;
 
 struct FtpServerOptions {
   std::uint16_t control_port = kFtpControlPort;
@@ -54,7 +58,9 @@ class FtpClient {
       : proc_(proc),
         stack_(stack),
         server_node_(server_node),
-        next_data_port_(data_port_base) {}
+        next_data_port_(data_port_base) {
+    line_out_.reserve(kFtpLineBufferBytes);
+  }
 
   /// Open the control connection (and log in, morally).
   [[nodiscard]] sim::Task<void> connect(
@@ -77,6 +83,7 @@ class FtpClient {
   std::uint16_t next_data_port_;
   int control_fd_ = -1;
   std::string reply_pending_;  // buffered control-channel bytes
+  std::string line_out_;       // outgoing command lines (see write_line)
 };
 
 }  // namespace ulsocks::apps

@@ -1,7 +1,8 @@
 // Tests for the bench harness (bench/harness.hpp): run_points() returns
 // each job's own RunReport in job order at any pool size, a throwing job
 // rethrows only after the others finish, bench flags reject malformed
-// counts, and a bench of C10K points records its epoch window.
+// counts and unknown options, and a bench JSON's host_perf block sums the
+// reports of its recorded points.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,10 +27,14 @@ StackChoice c10k_stack() {
   return StackChoice::substrate(cfg, "c10k credits=4");
 }
 
-/// Four unlike jobs: substrate latency, TCP latency, raw-EMP bandwidth and
-/// a 2-shard, 8-connection-per-host ring C10K run.
+/// Eight unlike jobs: substrate latency, TCP latency, raw-EMP bandwidth, an
+/// 8-connection-per-host ring C10K run, and ftp transfers of 1, 2, 4 and
+/// 8 MB over datagram sockets.  The ftp control lines are sent from
+/// transient heap buffers, whose addresses differ between the main thread
+/// and a pool thread, so a simulated dependence on host addresses shows
+/// up as a difference between pool sizes.
 std::vector<std::function<RunReport()>> mixed_jobs() {
-  return {
+  std::vector<std::function<RunReport()>> jobs = {
       [] {
         return measure_latency_us(
             StackChoice::substrate(sockets::preset("ds_da_uq")), 64, 3);
@@ -40,52 +45,60 @@ std::vector<std::function<RunReport()>> mixed_jobs() {
                                       256 * 1024);
       },
       [] {
-        return measure_scale_c10k_reqps(c10k_stack(), /*ring=*/true, 8,
-                                        /*shards=*/2);
+        return measure_scale_c10k_reqps(c10k_stack(), /*ring=*/true, 8);
       },
   };
+  for (std::size_t mb : {1ul, 2ul, 4ul, 8ul}) {
+    jobs.push_back([mb] {
+      return measure_ftp_mbps(StackChoice::substrate(sockets::preset("dg")),
+                              mb << 20);
+    });
+  }
+  return jobs;
 }
+
+constexpr std::size_t kC10kJob = 3;
 
 TEST(RunPoints, ReportsAreIdenticalAcrossPoolSizesAndInJobOrder) {
   const std::vector<RunReport> serial = run_points(mixed_jobs(), 1);
-  const std::vector<RunReport> pooled = run_points(mixed_jobs(), 3);
-  ASSERT_EQ(serial.size(), 4u);
-  ASSERT_EQ(pooled.size(), 4u);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].metrics, pooled[i].metrics) << "job " << i;
-    EXPECT_GT(serial[i].perf.events, 0u) << "job " << i;
-    EXPECT_EQ(serial[i].perf.events, pooled[i].perf.events) << "job " << i;
+  ASSERT_EQ(serial.size(), 8u);
+  for (unsigned threads : {2u, 3u}) {
+    const std::vector<RunReport> pooled = run_points(mixed_jobs(), threads);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(serial[i].metrics, pooled[i].metrics)
+          << "job " << i << ", " << threads << " threads";
+      EXPECT_GT(pooled[i].perf.events, 0u) << "job " << i;
+      EXPECT_EQ(serial[i].perf.events, pooled[i].perf.events)
+          << "job " << i << ", " << threads << " threads";
+      // Simulated values are bit-identical; the C10K value is requests
+      // per wall-clock second, so only its sign is fixed.
+      EXPECT_GT(pooled[i].value, 0.0) << "job " << i;
+      if (i != kC10kJob) {
+        EXPECT_EQ(serial[i].value, pooled[i].value)
+            << "job " << i << ", " << threads << " threads";
+      }
+    }
   }
-  // The three simulated values are bit-identical; the C10K value is
-  // requests per wall-clock second, so only its sign is fixed.
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_GT(serial[i].value, 0.0) << "job " << i;
-    EXPECT_EQ(serial[i].value, pooled[i].value) << "job " << i;
-  }
-  EXPECT_GT(pooled[3].value, 0.0);
 
   // Each report carries its own run's snapshot.  Every Cluster registers
   // all three stacks on every host, so the paths match across jobs; the
   // values tell the runs apart.
-  for (const std::vector<RunReport>* reports : {&serial, &pooled}) {
-    const auto& sub = (*reports)[0].metrics;
-    const auto& tcp = (*reports)[1].metrics;
-    const auto& emp = (*reports)[2].metrics;
-    const auto& c10k = (*reports)[3].metrics;
-    EXPECT_GT(sub.at("h0/sockets/eager_messages_tx"), 0);
-    EXPECT_EQ(sub.at("h0/tcp/segments_tx"), 0);
-    EXPECT_GT(tcp.at("h0/tcp/segments_tx"), 0);
-    EXPECT_EQ(tcp.at("h0/emp/data_frames_tx"), 0);
-    EXPECT_GT(emp.at("h0/emp/data_frames_tx"), 0);
-    for (const auto& [path, v] : emp) {
-      if (path.rfind("h0/sockets/", 0) == 0) {
-        EXPECT_EQ(v, 0) << path << " moved in the raw-EMP job";
-      }
+  const auto& sub = serial[0].metrics;
+  const auto& tcp = serial[1].metrics;
+  const auto& emp = serial[2].metrics;
+  EXPECT_GT(sub.at("h0/sockets/eager_messages_tx"), 0);
+  EXPECT_EQ(sub.at("h0/tcp/segments_tx"), 0);
+  EXPECT_GT(tcp.at("h0/tcp/segments_tx"), 0);
+  EXPECT_EQ(tcp.at("h0/emp/data_frames_tx"), 0);
+  EXPECT_GT(emp.at("h0/emp/data_frames_tx"), 0);
+  for (const auto& [path, v] : emp) {
+    if (path.rfind("h0/sockets/", 0) == 0) {
+      EXPECT_EQ(v, 0) << path << " moved in the raw-EMP job";
     }
-    // Merged across both shards, with the group's scheduler instruments.
-    EXPECT_GT(c10k.at("shard/epochs"), 0);
-    EXPECT_GT(c10k.at("ring/batch_size/count"), 0);
   }
+  EXPECT_GT(serial[kC10kJob].metrics.at("ring/batch_size/count"), 0);
+  EXPECT_GT(serial[4].metrics.at("h0/emp/pin_hits"), 0);
 }
 
 TEST(RunPoints, ThrowingJobRethrowsAfterTheOthersFinish) {
@@ -119,40 +132,50 @@ TEST(BenchArgsDeathTest, MalformedCountsExitWithStatus2) {
               "--iters needs a non-negative integer");
   EXPECT_EXIT(parse("--threads", "-1"), ::testing::ExitedWithCode(2),
               "--threads needs a non-negative integer");
-  EXPECT_EXIT(parse("--shards", "2x"), ::testing::ExitedWithCode(2),
-              "--shards needs a non-negative integer");
   EXPECT_EXIT(parse("--iters", ""), ::testing::ExitedWithCode(2),
               "--iters needs a non-negative integer");
 }
 
-TEST(BenchArgs, WellFormedCountsParse) {
-  std::string a[] = {"bench", "--iters", "3", "--threads", "0", "--shards",
-                     "2"};
-  char* argv[] = {a[0].data(), a[1].data(), a[2].data(), a[3].data(),
-                  a[4].data(), a[5].data(), a[6].data(), nullptr};
-  const BenchOptions opt = parse_bench_args(7, argv);
-  EXPECT_EQ(opt.iters, 3);
-  EXPECT_EQ(opt.threads, 0u);
-  EXPECT_EQ(opt.shards, 2u);
+TEST(BenchArgsDeathTest, UnknownOptionsExitWithStatus2) {
+  // Shard counts went away with the sharded scenarios.
+  EXPECT_EXIT(parse("--shards", "2"), ::testing::ExitedWithCode(2),
+              "unknown option --shards");
 }
 
-TEST(BenchResults, C10kOnlyBenchRecordsItsEpochWindow) {
-  // No test in this binary runs a sharded web workload, so a non-zero
-  // epoch window can only come from the C10K run below.
-  BenchResults results("harness_test_c10k", "C10K-only bench");
-  results.add("scale_c10k", c10k_stack(), "ring",
-              measure_scale_c10k_reqps(c10k_stack(), /*ring=*/true, 8,
-                                       /*shards=*/2),
-              "reqps");
+TEST(BenchArgs, WellFormedCountsParse) {
+  std::string a[] = {"bench", "--iters", "3", "--threads", "0"};
+  char* argv[] = {a[0].data(), a[1].data(), a[2].data(), a[3].data(),
+                  a[4].data(), nullptr};
+  const BenchOptions opt = parse_bench_args(5, argv);
+  EXPECT_EQ(opt.iters, 3);
+  EXPECT_EQ(opt.threads, 0u);
+}
+
+TEST(BenchResults, HostPerfSumsTheRecordedPoints) {
+  RunReport a;
+  a.value = 1;
+  a.perf.events = 1000;
+  a.perf.wall_ms = 2;
+  a.metrics["host/bytes_copied"] = 0;
+  RunReport b = a;
+  b.perf.events = 500;
+  b.perf.wall_ms = 3;
+  BenchResults results("harness_test_host_perf", "host_perf from points");
+  results.add("s", "sim", "cfg", "a", a, "evps");
+  results.add("s", "sim", "cfg", "b", b, "evps");
+  // A run that is not recorded does not count.
+  (void)measure_latency_us(StackChoice::raw_emp(), 4, 2);
   const std::string path = results.write(::testing::TempDir());
   ASSERT_FALSE(path.empty());
   std::ifstream in(path);
   const std::string json{std::istreambuf_iterator<char>(in),
                          std::istreambuf_iterator<char>()};
-  const std::string key = "\"epoch_ns\": ";
-  const std::size_t at = json.find(key);
-  ASSERT_NE(at, std::string::npos) << json;
-  EXPECT_GT(std::stoll(json.substr(at + key.size())), 0) << json;
+  EXPECT_NE(json.find("\"host_perf\": {\"events\": 1500, \"wall_ms\": 5, "
+                      "\"events_per_sec\": 300000,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"events\": 1000,\n"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"events\": 500,\n"), std::string::npos) << json;
 }
 
 }  // namespace
