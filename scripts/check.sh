@@ -16,7 +16,7 @@
 #      pool tests (the only code that runs simulations on several
 #      threads).
 #   5. Benchmark simulated outputs: perfbench/run.py runs every workload
-#      once, traced, at seed 7 and fails on any mismatch against
+#      once, traced, at seeds 1 and 7 and fails on any mismatch against
 #      perfbench/reference.json (digests, event and probe counts,
 #      simulated metrics).  A correctness check, not a timing gate.
 #
@@ -94,8 +94,10 @@ TSAN_OPTIONS=halt_on_error=1 \
 echo "==> [5/$TOTAL] benchmark simulated outputs vs perfbench/reference.json"
 # run.py exits 1 on any reference mismatch; --seconds 1 keeps it short.
 for workload in stream_64k c10k_ring web16_sharded; do
-  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
-    --trace 1 >/dev/null
+  for seed in 1 7; do
+    python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+      --seconds 1 --trace 1 >/dev/null
+  done
 done
 
 echo "==> all checks passed"

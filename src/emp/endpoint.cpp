@@ -158,6 +158,12 @@ void EmpEndpoint::check_bounds() const {
         u->bound && u->ready,
         check::msgf("node%u unexpected-ready entry not bound+ready", self_));
   }
+  for (const auto* u : landing_) {
+    ULSOCKS_INVARIANT(
+        u->bound && !u->ready,
+        check::msgf("node%u landing unexpected entry not bound+unready",
+                    self_));
+  }
   // Translation cache: map and LRU list describe the same set, and the
   // eviction policy keeps it within capacity.
   ULSOCKS_INVARIANT(
@@ -575,6 +581,11 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
       if (r->bound) continue;
       bool src_ok = !r->src_match.has_value() || *r->src_match == h.src_node;
       if (!src_ok || r->tag != h.tag) continue;
+      // Non-overtaking: an earlier message from this sender on this tag
+      // still landing on the unexpected queue is owed the first matching
+      // descriptor, which reconcile_unexpected() hands it once it is
+      // ready.  This one queues behind it instead of taking a descriptor.
+      if (earlier_landing(h.src_node, h.tag, h.msg_id)) break;
       if (h.msg_bytes > r->capacity) {
         too_small_candidate = true;
         continue;
@@ -630,6 +641,7 @@ void EmpEndpoint::handle_data(const EmpHeader& h, net::FramePtr frame) {
         u.frames_received = 0;
         u.frames_landed = 0;
         binding.unexpected = &u;
+        landing_.push_back(&u);
         ++ctr_.unexpected_claims;
         break;
       }
@@ -834,6 +846,7 @@ void EmpEndpoint::unexpected_ready(UnexpectedEntry* u) {
   ULS_TRACE(eng_, "emp", "node%u uq-ready from=%u tag=%u bytes=%u", self_,
             u->from, u->tag, u->msg_bytes);
   u->ready = true;
+  std::erase(landing_, u);
   unexpected_ready_.push_back(u);
   // A descriptor may have been filed while this message was in flight to
   // the unexpected queue.

@@ -378,6 +378,15 @@ class EmpEndpoint {
   void complete_recv(const RecvHandle& r);
   void unexpected_ready(UnexpectedEntry* u);
   void reconcile_unexpected();
+  /// Is a message from `src` on `tag` older than `msg_id` still landing on
+  /// the unexpected queue (bound to an entry, completion not yet written)?
+  [[nodiscard]] bool earlier_landing(NodeId src, Tag tag,
+                                     std::uint32_t msg_id) const {
+    for (const auto* u : landing_) {
+      if (u->from == src && u->tag == tag && u->msg_id < msg_id) return true;
+    }
+    return false;
+  }
   void send_ack(NodeId to, std::uint32_t msg_id, std::uint32_t count);
   void send_nack(NodeId to, std::uint32_t msg_id, std::uint32_t missing);
   void transmit_frames(const SendHandle& st, std::uint32_t first_frame,
@@ -478,6 +487,7 @@ class EmpEndpoint {
   std::size_t walk_tombstones_ = 0;
   std::list<UnexpectedEntry> unexpected_pool_;
   std::vector<UnexpectedEntry*> unexpected_ready_;
+  std::vector<UnexpectedEntry*> landing_;  // bound, not yet ready
   std::unordered_map<std::uint64_t, Binding> bound_;
   std::unordered_map<std::uint64_t, std::uint16_t> completed_history_;
   std::deque<std::uint64_t> completed_order_;

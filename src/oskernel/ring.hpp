@@ -14,7 +14,11 @@
 // one scheduler event per parked handler (the thundering herd).  The ring
 // parks exactly ONE pump coroutine there, probes readiness host-side, and
 // starts the few runnable operations inline through the resume trampoline
-// — the event cost per stack wake-up drops from O(connections) to O(1).
+// — the application's share of each stack wake-up drops from
+// O(connections) events to O(1).  The wake-up itself stays O(connections)
+// on the EMP substrate: each of its connections parks its own pump on the
+// same condition variable, so every notification still runs one event per
+// live connection (one wake batch in the engine's queue; DESIGN.md §9).
 //
 // Determinism: submit() runs entirely inside the caller's current engine
 // event (zero scheduler events — better than the one-doorbell-event

@@ -76,17 +76,31 @@ class Engine {
       }
     }
     slot_ref(slot) = std::move(fn);
-    // Two-level queue: events inside the near horizon go to the small hot
-    // heap, far-future ones (retransmit timers, mostly) to the far heap.
-    // The strict `t < horizon_` split keeps min(near) < horizon_ <=
-    // min(far), so the near heap's top is always the global minimum and
-    // the pop order — and therefore the digest — is identical to a single
-    // queue's.
-    if (t < horizon_) {
-      heap_push(heap_, HeapItem{t, next_seq_++, slot});
+    push_item(HeapItem{t, next_seq_++, slot});
+  }
+
+  /// Resume every coroutine in `waiters` at now(), in order, and leave
+  /// `waiters` empty.  The result is exactly that of one
+  /// `schedule_at(now(), resume)` per waiter: each wake-up is its own event
+  /// with its own sequence number, counted and digested like any other.
+  /// The host cost is not: the N wake-ups reserve N consecutive sequence
+  /// numbers and enter the queue as one heap node, and step() runs them
+  /// from a cursor (see step()).
+  void wake_all_now(std::vector<std::coroutine_handle<>>& waiters) {
+    if (waiters.empty()) return;
+    std::uint32_t b;
+    if (!free_wakes_.empty()) {
+      b = free_wakes_.back();
+      free_wakes_.pop_back();
     } else {
-      heap_push(far_, HeapItem{t, next_seq_++, slot});
+      b = static_cast<std::uint32_t>(wakes_.size());
+      wakes_.emplace_back();
     }
+    // Swap, not copy: the caller gets back an empty vector with the
+    // capacity of an earlier batch, so steady state allocates nothing.
+    wakes_[b].swap(waiters);
+    push_item(HeapItem{now_, next_seq_, b | kWakeTag});
+    next_seq_ += wakes_[b].size();
   }
 
   /// Schedule `fn` to run `dt` from now.
@@ -319,8 +333,22 @@ class Engine {
     return top;
   }
 
+  // Two-level queue: events inside the near horizon go to the small hot
+  // heap, far-future ones (retransmit timers, mostly) to the far heap.
+  // The strict `t < horizon_` split keeps min(near) < horizon_ <=
+  // min(far), so the near heap's top is always the global minimum and
+  // the pop order — and therefore the digest — is identical to a single
+  // queue's.
+  void push_item(HeapItem it) {
+    heap_push(it.t < horizon_ ? heap_ : far_, it);
+  }
+
+  [[nodiscard]] bool waking() const noexcept {
+    return wake_next_ != waking_.size();
+  }
+
   [[nodiscard]] bool pending() const noexcept {
-    return !heap_.empty() || !far_.empty();
+    return waking() || !heap_.empty() || !far_.empty();
   }
 
   /// Refill the near heap from the far heap if it drained.  Advancing the
@@ -337,34 +365,67 @@ class Engine {
 
   /// Timestamp of the next event to fire.  Pre: pending().
   [[nodiscard]] Time next_time() {
+    if (waking()) return wake_t_;
     refill_near();
     return heap_[0].t;
   }
 
+  // One event, whether a queued callable or the next wake-up of an open
+  // wake batch.  A batch's remaining wake-ups are always the global
+  // minimum: its node was the minimum when popped, its sequence numbers
+  // are consecutive, and anything scheduled since has a larger seq and a
+  // time no earlier than now().  So the cursor runs without touching the
+  // heap, and the (t, seq) order is that of one event per wake-up.
   void step() {
-    // Owning the heap directly (vs. std::priority_queue) lets the next
-    // event be moved out of storage legitimately — no const_cast.
-    refill_near();
-    const HeapItem ev = heap_pop(heap_);
+    if (!waking()) {
+      // Owning the heap directly (vs. std::priority_queue) lets the next
+      // event be moved out of storage legitimately — no const_cast.
+      refill_near();
+      const HeapItem ev = heap_pop(heap_);
+      if ((ev.slot & kWakeTag) == 0) {
+        begin_event(ev.t, ev.seq);
+        // Execute in place: slot pages are address-stable (the page
+        // directory may grow during fn(), the pages never move), so no
+        // relocating move of the inline capture is needed per event.  The
+        // slot is recycled only after fn() returns, so an event scheduling
+        // new events can never be handed its own still-running slot.
+        EventFn& fn = slot_ref(ev.slot);
+        fn();
+        fn.reset();
+        free_slots_.push_back(ev.slot);
+        end_event();
+        return;
+      }
+      // Open the batch: its waiters move to the cursor's vector, whose
+      // spent (cleared) storage goes back to the batch's free entry.
+      const std::uint32_t b = ev.slot & ~kWakeTag;
+      waking_.clear();
+      waking_.swap(wakes_[b]);
+      free_wakes_.push_back(b);
+      wake_next_ = 0;
+      wake_t_ = ev.t;
+      wake_seq_ = ev.seq;
+    }
+    const std::coroutine_handle<> h = waking_[wake_next_++];
+    begin_event(wake_t_, wake_seq_++);
+    detail::resume_chain(h);
+    end_event();
+  }
+
+  void begin_event(Time t, std::uint64_t seq) {
     ULSOCKS_INVARIANT(
-        ev.t >= now_,
+        t >= now_,
         check::msgf("event time went backwards: t=%llu < now=%llu",
-                    static_cast<unsigned long long>(ev.t),
+                    static_cast<unsigned long long>(t),
                     static_cast<unsigned long long>(now_)));
-    now_ = ev.t;
+    now_ = t;
     ++events_executed_;
-    digest_ = mix64(digest_ ^ ev.t);
-    digest_ = mix64(digest_ ^ ev.seq);
-    causal_digest_ += mix64(ev.t);
-    // Execute in place: slot pages are address-stable (the page directory
-    // may grow during fn(), the pages never move), so no relocating move of
-    // the inline capture is needed per event.  The slot is recycled only
-    // after fn() returns, so an event scheduling new events can never be
-    // handed its own still-running slot.
-    EventFn& fn = slot_ref(ev.slot);
-    fn();
-    fn.reset();
-    free_slots_.push_back(ev.slot);
+    digest_ = mix64(digest_ ^ t);
+    digest_ = mix64(digest_ ^ seq);
+    causal_digest_ += mix64(t);
+  }
+
+  void end_event() {
     // Countdown instead of `events_executed_ % interval`: one decrement
     // and branch per event, no integer division in the hot loop.
     if (check_countdown_ != 0 && --check_countdown_ == 0) {
@@ -418,11 +479,12 @@ class Engine {
     return slot_pages_[s / kSlotPageSize][s & (kSlotPageSize - 1)];
   }
 
-  // Near/far split: the near heap holds events with t < horizon_ and stays
-  // small (tens of entries), so the per-event sifts run in cache; the far
-  // heap absorbs long-dated timers and is touched only on schedule and on
-  // horizon advances.  The window trades near-heap size against advance
-  // frequency; 64 us spans the simulator's burst activity comfortably.
+  // Near/far split: the near heap holds events with t < horizon_, so the
+  // per-event sifts run over the burst at hand (a wake batch is one node
+  // however many waiters it holds); the far heap absorbs long-dated timers
+  // and is touched only on schedule and on horizon advances.  The window
+  // trades near-heap size against advance frequency; 64 us spans the
+  // simulator's burst activity comfortably.
   static constexpr Duration kNearWindow = 65536;
 
   bool stop_ = false;
@@ -432,6 +494,16 @@ class Engine {
   std::vector<std::unique_ptr<EventFn[]>> slot_pages_;
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   std::uint32_t slot_count_ = 0;           // slots ever created
+  // Wake batches (wake_all_now): a heap node whose slot carries kWakeTag
+  // indexes wakes_; the open batch runs from waking_[wake_next_] with the
+  // time and sequence number of its next wake-up.
+  static constexpr std::uint32_t kWakeTag = 0x8000'0000u;
+  std::vector<std::vector<std::coroutine_handle<>>> wakes_;
+  std::vector<std::uint32_t> free_wakes_;
+  std::vector<std::coroutine_handle<>> waking_;
+  std::size_t wake_next_ = 0;
+  Time wake_t_ = 0;
+  std::uint64_t wake_seq_ = 0;
   std::vector<Task<void>> roots_;
   std::size_t reap_watermark_ = 64;
   std::exception_ptr root_error_;

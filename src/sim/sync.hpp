@@ -50,12 +50,8 @@ class CondVar {
     while (!pred()) co_await wait();
   }
 
-  void notify_all() {
-    for (auto h : waiters_) {
-      eng_->schedule_at(eng_->now(), [h] { detail::resume_chain(h); });
-    }
-    waiters_.clear();
-  }
+  /// Wake every waiter: one event each, queued as one wake batch.
+  void notify_all() { eng_->wake_all_now(waiters_); }
 
   void notify_one() {
     if (waiters_.empty()) return;

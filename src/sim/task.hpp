@@ -9,11 +9,23 @@
 // The whole simulation is single-threaded; no synchronization is needed.
 #pragma once
 
+#include <atomic>
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace ulsocks::sim {
 
@@ -60,7 +72,87 @@ inline void post_next(std::coroutine_handle<> h) {
   }
 }
 
+// Coroutine frame recycling.  A simulated process allocates and frees
+// frames at event rate (every awaited Task is one), all of a few hundred
+// bytes, so frames come from per-thread free lists in 16-byte size classes
+// instead of malloc.  Frames of kPooledFrameBytes and above go straight to
+// ::operator new.  A frame on a free list is poisoned for ASan, so a
+// use-after-free of a destroyed coroutine still faults in sanitized builds.
+// Frames never cross threads in this codebase (each simulation runs on
+// one), and a frame freed on another thread would merely join that
+// thread's lists.
+inline constexpr std::size_t kFrameClassBytes = 16;
+inline constexpr std::size_t kPooledFrameBytes = 1024;
+inline constexpr std::size_t kFrameClasses =
+    kPooledFrameBytes / kFrameClassBytes;
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+
+// Trivially destructible, so it stays usable through thread exit: once
+// FrameListsOwner has emptied it, `closed` routes every later frame (one
+// freed by another thread_local's destructor, say) to the global heap.
+struct FrameLists {
+  FreeFrame* head[kFrameClasses];
+  bool owned;   // this thread's FrameListsOwner is registered
+  bool closed;  // the thread is exiting
+};
+inline thread_local FrameLists frame_lists{};
+
+/// Frames freed by exiting threads' FrameListsOwner (tests read it).
+inline std::atomic<std::uint64_t> frames_released_at_thread_exit{0};
+
+// Frees this thread's lists when the thread exits.
+struct FrameListsOwner {
+  ~FrameListsOwner() {
+    frame_lists.closed = true;
+    std::uint64_t n = 0;
+    for (std::size_t c = 0; c < kFrameClasses; ++c) {
+      while (FreeFrame* f = frame_lists.head[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(f, (c + 1) * kFrameClassBytes);
+        frame_lists.head[c] = f->next;
+        ::operator delete(f);
+        ++n;
+      }
+    }
+    frames_released_at_thread_exit.fetch_add(n, std::memory_order_relaxed);
+  }
+};
+inline thread_local FrameListsOwner frame_lists_owner;
+
+inline void* allocate_frame(std::size_t n) {
+  if (n >= kPooledFrameBytes || frame_lists.closed) return ::operator new(n);
+  const std::size_t c = (n - 1) / kFrameClassBytes;
+  FreeFrame* f = frame_lists.head[c];
+  if (f == nullptr) return ::operator new((c + 1) * kFrameClassBytes);
+  ASAN_UNPOISON_MEMORY_REGION(f, (c + 1) * kFrameClassBytes);
+  frame_lists.head[c] = f->next;
+  return f;
+}
+
+inline void free_frame(void* p, std::size_t n) noexcept {
+  if (n >= kPooledFrameBytes || frame_lists.closed) {
+    ::operator delete(p);
+    return;
+  }
+  if (!frame_lists.owned) {
+    frame_lists.owned = true;
+    (void)&frame_lists_owner;  // first use registers its destructor
+  }
+  const std::size_t c = (n - 1) / kFrameClassBytes;
+  auto* f = static_cast<FreeFrame*>(p);
+  f->next = frame_lists.head[c];
+  frame_lists.head[c] = f;
+  ASAN_POISON_MEMORY_REGION(f, (c + 1) * kFrameClassBytes);
+}
+
 struct PromiseBase {
+  static void* operator new(std::size_t n) { return allocate_frame(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    free_frame(p, n);
+  }
+
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
 

@@ -23,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/shard.hpp"
 #include "sim/stats.hpp"
+#include "sim/sync.hpp"
 #include "sockets/config.hpp"
 
 namespace ulsocks {
@@ -293,9 +294,12 @@ TEST(HostCopies, SlicingCutsBytesCopiedAtLeast3x) {
 // Queue-order property test: the engine's two-level 4-ary heap must pop in
 // exactly the strict (time, sequence) order.  The oracle is a deliberately
 // naive scheduler — an unordered vector popped by linear min-scan — driven
-// through the same randomized self-spawning workload and folded through the
-// same digest function.  Any ordering bug in the heap, the slot arena, or
-// the near/far horizon split shows up as a digest or count mismatch.
+// through the same randomized workload and folded through the same digest
+// functions.  The workload mixes self-spawning callables with coroutines
+// parked on CondVars: the engine queues each notify_all as one wake batch,
+// the oracle as one plain event per waiter.  Any ordering bug in the heap,
+// the slot arena, the near/far horizon split or the wake-batch cursor shows
+// up as a digest, count or resume-order mismatch.
 // ---------------------------------------------------------------------------
 
 // The engine's digest fold (splitmix64 finalizer), replicated here so the
@@ -332,59 +336,156 @@ sim::Duration random_delta(Lcg& rng) {
   }
 }
 
+// The randomized workload's decisions, shared by both sides.  A spawner
+// event draws r: r % 3 children, and notify_all on condvar
+// (r >> 4) % kQueueCvs when (r >> 2) % 4 == 0.  A woken waiter logs its
+// id, and unless that was its last life draws r and then:
+//   r % 4 == 0: notify_all on condvar (r >> 2) % kQueueCvs;
+//   r % 4 == 1: schedules a depth-2 spawner after random_delta();
+//   r % 4 == 2: notify_all on the condvar it was woken from, which holds
+//               the members of its own batch that already re-parked, and
+//               re-parks there;
+// and otherwise re-parks on condvar (r >> 6) % kQueueCvs.  (r >> 9) % 6 == 0 asks
+// the engine to stop after the wake-up: a split the oracle ignores.
+constexpr std::size_t kQueueCvs = 3;
+constexpr int kQueueWaiters = 24;
+constexpr int kWaiterLives = 12;
+
+bool waiter_stops(std::uint64_t r) { return (r >> 9) % 6 == 0; }
+
 struct NaiveScheduler {
   struct Ev {
     sim::Time t;
     std::uint64_t seq;
-    int depth;
+    int depth;   // spawner depth; unused by wake-ups
+    int waiter;  // -1: spawner event; else the waiter it wakes
+    std::uint64_t batch;  // notify_all that queued this wake-up (0: none)
   };
   std::vector<Ev> pending;
+  std::vector<int> parked[kQueueCvs];
+  int cv_of[kQueueWaiters] = {};
+  int lives[kQueueWaiters] = {};
+  std::uint64_t batches = 0;
   sim::Time now = 0;
   std::uint64_t next_seq = 0;
   std::uint64_t digest = kRefDigestInit;
+  std::uint64_t causal_digest = 0;
   std::uint64_t executed = 0;
+  std::vector<int> resumed;
+  // Events executed before each stop requested with the next event still
+  // in the same wake batch: the splits that land mid-batch.
+  std::vector<std::uint64_t> mid_batch_stops;
 
-  void schedule(sim::Time t, int depth) {
-    pending.push_back(Ev{t, next_seq++, depth});
+  void schedule(sim::Time t, int depth, int waiter = -1,
+                std::uint64_t batch = 0) {
+    pending.push_back(Ev{t, next_seq++, depth, waiter, batch});
+  }
+  void notify_all(std::size_t cv) {
+    if (parked[cv].empty()) return;
+    ++batches;
+    for (int w : parked[cv]) schedule(now, 0, w, batches);
+    parked[cv].clear();
+  }
+  // The engine starts a spawned process through the queue; its first slice
+  // parks it.
+  void spawn_waiter(int w, int cv) {
+    cv_of[w] = cv;
+    lives[w] = kWaiterLives;
+    schedule(now, 0, w);
+  }
+  std::size_t min_index() const {
+    std::size_t best = 0;  // linear min-scan: the obviously-correct pop
+    for (std::size_t i = 1; i < pending.size(); ++i) {
+      const Ev& a = pending[i];
+      const Ev& b = pending[best];
+      if (a.t < b.t || (a.t == b.t && a.seq < b.seq)) best = i;
+    }
+    return best;
   }
   void run(Lcg& rng) {
+    std::vector<bool> started(kQueueWaiters, false);
     while (!pending.empty()) {
-      std::size_t best = 0;  // linear min-scan: the obviously-correct pop
-      for (std::size_t i = 1; i < pending.size(); ++i) {
-        const Ev& a = pending[i];
-        const Ev& b = pending[best];
-        if (a.t < b.t || (a.t == b.t && a.seq < b.seq)) best = i;
-      }
+      const std::size_t best = min_index();
       const Ev ev = pending[best];
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best));
       now = ev.t;
       ++executed;
       digest = ref_mix64(digest ^ static_cast<std::uint64_t>(ev.t));
       digest = ref_mix64(digest ^ ev.seq);
-      if (ev.depth > 0) {
-        const std::uint64_t kids = rng.next() % 3;
-        for (std::uint64_t k = 0; k < kids; ++k) {
+      causal_digest += ref_mix64(static_cast<std::uint64_t>(ev.t));
+      if (ev.waiter < 0) {
+        if (ev.depth <= 0) continue;
+        const std::uint64_t r = rng.next();
+        if ((r >> 2) % 4 == 0) notify_all((r >> 4) % kQueueCvs);
+        for (std::uint64_t k = 0; k < r % 3; ++k) {
           schedule(now + random_delta(rng), ev.depth - 1);
         }
+        continue;
+      }
+      const int w = ev.waiter;
+      if (!started[static_cast<std::size_t>(w)]) {
+        started[static_cast<std::size_t>(w)] = true;
+        parked[cv_of[w]].push_back(w);
+        continue;
+      }
+      resumed.push_back(w);
+      if (--lives[w] == 0) continue;
+      const std::uint64_t r = rng.next();
+      switch (r % 4) {
+        case 0: notify_all((r >> 2) % kQueueCvs); break;
+        case 1: schedule(now + random_delta(rng), 2); break;
+        case 2: notify_all(static_cast<std::size_t>(cv_of[w])); break;
+        default: break;
+      }
+      if (r % 4 != 2) cv_of[w] = static_cast<int>((r >> 6) % kQueueCvs);
+      parked[cv_of[w]].push_back(w);
+      if (waiter_stops(r) && !pending.empty() &&
+          pending[min_index()].batch == ev.batch && ev.batch != 0) {
+        mid_batch_stops.push_back(executed);
       }
     }
   }
 };
 
 // Self-spawning event for the real engine, mirroring NaiveScheduler's
-// execution body draw-for-draw.
+// spawner body draw-for-draw.
 struct Spawner {
   Engine* eng;
   Lcg* rng;
+  sim::CondVar* cvs;
   int depth;
   void operator()() const {
     if (depth <= 0) return;
-    const std::uint64_t kids = rng->next() % 3;
-    for (std::uint64_t k = 0; k < kids; ++k) {
-      eng->schedule_after(random_delta(*rng), Spawner{eng, rng, depth - 1});
+    const std::uint64_t r = rng->next();
+    if ((r >> 2) % 4 == 0) cvs[(r >> 4) % kQueueCvs].notify_all();
+    for (std::uint64_t k = 0; k < r % 3; ++k) {
+      eng->schedule_after(random_delta(*rng),
+                          Spawner{eng, rng, cvs, depth - 1});
     }
   }
 };
+
+// A parked process for the real engine, mirroring NaiveScheduler's wake-up
+// body draw-for-draw.
+Task<void> queue_waiter(Engine* eng, Lcg* rng, sim::CondVar* cvs, int id,
+                        std::size_t cv, std::vector<int>* resumed) {
+  for (int lives = kWaiterLives;; ) {
+    co_await cvs[cv].wait();
+    resumed->push_back(id);
+    if (--lives == 0) co_return;
+    const std::uint64_t r = rng->next();
+    switch (r % 4) {
+      case 0: cvs[(r >> 2) % kQueueCvs].notify_all(); break;
+      case 1:
+        eng->schedule_after(random_delta(*rng), Spawner{eng, rng, cvs, 2});
+        break;
+      case 2: cvs[cv].notify_all(); break;
+      default: break;
+    }
+    if (r % 4 != 2) cv = (r >> 6) % kQueueCvs;
+    if (waiter_stops(r)) eng->request_stop();
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Sharded engine (sim/shard.hpp): a ShardGroup partitions the hosts across
@@ -829,26 +930,66 @@ TEST(Sharding, EpochScheduleIsPinned) {
 }
 
 TEST(QueueOrder, RandomInterleavingsMatchNaiveReference) {
+  // How often the engine resumed a run with a wake batch part-way, by the
+  // call that resumed it: run(), run_until(), run_before().
+  int resumed_mid_batch[3] = {0, 0, 0};
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Engine eng;
     Lcg eng_rng{seed};
     NaiveScheduler ref;
     Lcg ref_rng{seed};
+    sim::CondVar cvs[kQueueCvs] = {sim::CondVar(eng), sim::CondVar(eng),
+                                   sim::CondVar(eng)};
+    std::vector<int> resumed;
 
     Lcg root_rng{seed * 977};
+    for (int w = 0; w < kQueueWaiters; ++w) {
+      const std::size_t cv = static_cast<std::size_t>(w) % kQueueCvs;
+      eng.spawn(queue_waiter(&eng, &eng_rng, cvs, w, cv, &resumed));
+      ref.spawn_waiter(w, static_cast<int>(cv));
+    }
     for (int i = 0; i < 64; ++i) {
       // Coarse root times force same-timestamp collisions.
       const sim::Time t = static_cast<sim::Time>((root_rng.next() % 32) * 512);
-      eng.schedule_at(t, Spawner{&eng, &eng_rng, 4});
+      eng.schedule_at(t, Spawner{&eng, &eng_rng, cvs, 4});
       ref.schedule(t, 4);
     }
-    eng.run();
     ref.run(ref_rng);
+
+    // Drive the engine in slices: every request_stop() returns control
+    // here, and the run resumes through a randomly chosen entry point.
+    Lcg drive{seed * 31};
+    while (eng.has_pending()) {
+      eng.clear_stop();
+      const std::uint64_t d = drive.next() % 3;
+      const bool mid_batch =
+          std::find(ref.mid_batch_stops.begin(), ref.mid_batch_stops.end(),
+                    eng.events_executed()) != ref.mid_batch_stops.end();
+      if (mid_batch) {
+        ++resumed_mid_batch[d];
+        // A part-way batch is due now, wherever the engine's clock is.
+        ASSERT_EQ(eng.next_event_time(), eng.now()) << "seed " << seed;
+      }
+      const sim::Time bound = eng.now() + 1 + drive.next() % 5000;
+      if (d == 0) {
+        eng.run();
+      } else if (d == 1) {
+        eng.run_until(bound);
+      } else {
+        eng.run_before(bound);
+      }
+    }
 
     EXPECT_EQ(eng.events_executed(), ref.executed) << "seed " << seed;
     EXPECT_EQ(eng.now(), ref.now) << "seed " << seed;
     EXPECT_EQ(eng.digest(), ref.digest) << "seed " << seed;
+    EXPECT_EQ(eng.causal_digest(), ref.causal_digest) << "seed " << seed;
+    EXPECT_EQ(resumed, ref.resumed) << "seed " << seed;
     EXPECT_GT(ref.executed, 64u) << "seed " << seed;  // spawning happened
+    EXPECT_GT(ref.batches, 0u) << "seed " << seed;    // waking happened
+  }
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_GT(resumed_mid_batch[d], 0) << "entry point " << d;
   }
 }
 

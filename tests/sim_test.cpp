@@ -6,8 +6,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
@@ -182,6 +187,43 @@ TEST(Task, ManySpawnedTasksAreReaped) {
   for (int i = 0; i < 1000; ++i) eng.spawn(proc(eng, done));
   eng.run();
   EXPECT_EQ(done, 1000);
+}
+
+// Coroutine frames come from per-thread free lists in 16-byte size
+// classes: a freed frame serves the next request of its class and no other,
+// frames of 1 KiB and up bypass the lists, and a thread frees its lists
+// when it exits.
+TEST(Task, FramesRecycleBySizeClassAndAreFreedAtThreadExit) {
+  using detail::PromiseBase;
+  const std::uint64_t released_before =
+      detail::frames_released_at_thread_exit.load();
+  std::thread([] {
+    void* a = PromiseBase::operator new(100);  // class 97..112
+    PromiseBase::operator delete(a, 100);
+#if defined(__SANITIZE_ADDRESS__)
+    EXPECT_TRUE(__asan_address_is_poisoned(a));  // a use-after-free faults
+#endif
+    void* b = PromiseBase::operator new(90);  // class 81..96
+    EXPECT_NE(b, a);
+    void* c = PromiseBase::operator new(112);
+    EXPECT_EQ(c, a);
+    void* big = PromiseBase::operator new(detail::kPooledFrameBytes);
+    PromiseBase::operator delete(big, detail::kPooledFrameBytes);
+    PromiseBase::operator delete(b, 90);
+    PromiseBase::operator delete(c, 112);
+    // A Task's frame takes the same path.
+    auto proc = [](int x) -> Task<int> { co_return x + 1; };
+    void* frame = nullptr;
+    {
+      Task<int> t = proc(1);
+      frame = t.handle().address();
+    }
+    Task<int> again = proc(2);
+    EXPECT_EQ(again.handle().address(), frame);
+  }).join();
+  // On the exiting thread's lists: b, c and the Task frame, not `big`.
+  EXPECT_EQ(detail::frames_released_at_thread_exit.load() - released_before,
+            3u);
 }
 
 TEST(Task, TwoProcessesInterleaveDeterministically) {

@@ -275,6 +275,66 @@ TEST_F(SubstrateTest, DatagramLargeMessageUsesZeroCopyRendezvous) {
             1);
 }
 
+// Two back-to-back eager datagrams (3,439 B over three frames, then 217 B)
+// with the reader's first read swept across their arrival.  Some reads
+// start while the first datagram is still landing on the EMP unexpected
+// queue; a descriptor posted then would match the second datagram first.
+// Each read must return the datagrams in send order.
+TEST(DatagramOrder, ReadDuringUnexpectedArrivalKeepsSendOrder) {
+  const auto first = pattern(3'439, 5);
+  const auto second = pattern(217, 9);
+  constexpr sim::Time kSendAt = 2'000'000;
+  int reads_during_landing = 0;
+  for (sim::Duration lag = 0; lag <= 80'000; lag += 500) {
+    Engine eng;
+    Cluster cl(eng, sim::calibrated_cost_model(), 2, preset("dg").cfg);
+    std::vector<std::vector<std::uint8_t>> got;
+    auto server = [&]() -> Task<void> {
+      auto& api = cl.node(1).socks;
+      int ls = co_await api.socket();
+      co_await api.bind(ls, SockAddr{1, 80});
+      co_await api.listen(ls, 1);
+      co_await api.set_option(ls, os::SockOpt::kDatagram, 1);
+      int cs = co_await api.accept(ls, nullptr);
+      const auto claims = [&] {
+        return eng.metrics().snapshot().at("h1/emp/unexpected_claims");
+      };
+      const auto claims_at_accept = claims();
+      co_await eng.delay(kSendAt + lag - eng.now());
+      // The first datagram has taken an unexpected entry but is not ready.
+      if (claims() > claims_at_accept &&
+          cl.node(1).emp.unexpected_ready_count() == 0) {
+        ++reads_during_landing;
+      }
+      std::vector<std::uint8_t> buf(8'192);
+      for (int i = 0; i < 2; ++i) {
+        std::size_t n = co_await api.read(cs, buf);
+        got.emplace_back(buf.begin(),
+                         buf.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      co_await api.close(cs);
+      co_await api.close(ls);
+    };
+    auto client = [&]() -> Task<void> {
+      auto& api = cl.node(0).socks;
+      int s = co_await api.socket();
+      co_await api.set_option(s, os::SockOpt::kDatagram, 1);
+      co_await api.connect(s, SockAddr{1, 80});
+      co_await eng.delay(kSendAt - eng.now());
+      co_await api.write(s, first);
+      co_await api.write(s, second);
+      co_await api.close(s);
+    };
+    eng.spawn(server());
+    eng.spawn(client());
+    eng.run();
+    ASSERT_EQ(got.size(), 2u) << "lag " << lag;
+    EXPECT_EQ(got[0], first) << "lag " << lag;
+    EXPECT_EQ(got[1], second) << "lag " << lag;
+  }
+  EXPECT_GT(reads_during_landing, 0);
+}
+
 TEST_F(SubstrateTest, ConnectRefusedWithoutListener) {
   bool refused = false;
   auto client = [&]() -> Task<void> {
